@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from typing import Iterable, Iterator
 
 import click
 
@@ -37,38 +38,43 @@ def parse_word(text: str, tokens: bool) -> Word:
     return intern_word(text.split() if tokens else list(text))
 
 
-def _read_lines(source) -> list[str]:
+def _lines(source) -> Iterator[str]:
+    """Lines of ``source`` without newlines, read one at a time."""
     try:
-        return [line.rstrip("\n") for line in source]
+        for line in source:
+            yield line.rstrip("\n")
     except OSError as exc:
         click.echo(f"error: cannot read input: {exc}", err=True)
         sys.exit(3)
 
 
-def _render_images(word: Word, f: Morphism, sep: str) -> dict[str, str]:
-    return {
-        word.symbols[a]: sep.join(word.symbols[x] for x in f.images[a])
-        for a in range(word.alphabet_size)
-    }
+def _render(word: Word, letters: Iterable[int], tokens: bool) -> str:
+    """Surface form of ``letters``: tokens are space-separated, symbols are
+    single code points and concatenated."""
+    return (" " if tokens else "").join(word.symbols[a] for a in letters)
 
 
-def _sep(word: Word, tokens: bool) -> str:
-    return " " if tokens or any(len(s) > 1 for s in word.symbols) else ""
+def _morphism_line(word: Word, f: Morphism, tokens: bool) -> str:
+    return ", ".join(
+        f"{word.symbols[a]}{ARROW}{_render(word, img, tokens) or EPSILON}"
+        for a, img in enumerate(f.images)
+    )
 
 
 def _final_block(word: Word, result: FactorizationResult, tokens: bool) -> dict:
-    sep = _sep(word, tokens)
     return {
         "primitive": result.primitive,
         "expanding": sorted(word.symbols[a] for a in result.expanding),
-        "images": _render_images(word, result.morphism, sep),
+        "images": {
+            word.symbols[a]: _render(word, img, tokens)
+            for a, img in enumerate(result.morphism.images)
+        },
         "factor_cuts": list(result.factor_cuts),
     }
 
 
 def trace_document(word: Word, result: FactorizationResult, tokens: bool = False) -> dict:
     """Full round-by-round document; serializes deterministically."""
-    sep = _sep(word, tokens)
     rounds = [
         {
             "round": r.number,
@@ -83,7 +89,7 @@ def trace_document(word: Word, result: FactorizationResult, tokens: bool = False
         for r in result.rounds
     ]
     return {
-        "word": sep.join(word.symbols[a] for a in word.letters),
+        "word": _render(word, word.letters, tokens),
         "rounds": rounds,
         "final": _final_block(word, result, tokens),
         "counters": {
@@ -110,8 +116,7 @@ def cli():
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
 def cmd_check(words: tuple[str, ...], tokens: bool):
     """Print `word<TAB>verdict` for each word (args, or stdin lines)."""
-    lines = list(words) if words else _read_lines(sys.stdin)
-    for line in lines:
+    for line in words or _lines(sys.stdin):
         result = run(parse_word(line, tokens))
         verdict = "primitive" if result.primitive else "imprimitive"
         click.echo(f"{line}\t{verdict}")
@@ -128,15 +133,11 @@ def cmd_factorize(word: str, tokens: bool, as_json: bool):
     if as_json:
         click.echo(_dump(_final_block(w, result, tokens)))
         return
-    sep = _sep(w, tokens)
-    images = _render_images(w, result.morphism, sep)
-    click.echo(", ".join(f"{s}{ARROW}{img or EPSILON}" for s, img in images.items()))
+    click.echo(_morphism_line(w, result.morphism, tokens))
     cuts = result.factor_cuts
-    factors = [
-        sep.join(w.symbols[a] for a in w.segment(cuts[i] + 1, cuts[i + 1]))
-        for i in range(len(cuts) - 1)
-    ]
-    click.echo("|".join(factors))
+    click.echo("|".join(
+        _render(w, w.segment(i + 1, j), tokens) for i, j in zip(cuts, cuts[1:])
+    ))
     click.echo("primitive" if result.primitive else "imprimitive")
 
 
@@ -167,13 +168,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     click.echo(f"{word}\t{verdict}")
     click.echo(f"min_expanding\t{res.size}")
     if w.alphabet_size:
-        sep = _sep(w, tokens)
-        witness = ", ".join(
-            f"{w.symbols[a]}{ARROW}"
-            f"{sep.join(w.symbols[x] for x in res.images.get(a, ())) or EPSILON}"
-            for a in range(w.alphabet_size)
-        )
-        click.echo(f"witness\t{witness}")
+        click.echo(f"witness\t{_morphism_line(w, res.morphism(w), tokens)}")
 
 
 @cli.command("gen")
@@ -239,28 +234,21 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
             words.append((w.render(), w))
     elif path is not None:
         if path == "-":
-            lines = _read_lines(sys.stdin)
+            words = [(line, parse_word(line, tokens)) for line in _lines(sys.stdin)]
         else:
             try:
                 with open(path, encoding="utf-8") as fh:
-                    lines = _read_lines(fh)
+                    words = [(line, parse_word(line, tokens)) for line in _lines(fh)]
             except OSError as exc:
                 click.echo(f"error: cannot open {path}: {exc}", err=True)
                 sys.exit(3)
-        words = [(line, parse_word(line, tokens)) for line in lines]
     else:
         raise click.UsageError("choose --family wn or --file")
 
-    rows = _bench_rows(words)
     header = ("n", "m", "expanding", "rounds", "scanned", "edges", "ns")
-    if as_csv:
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(str(v) for v in row))
-    else:
-        click.echo("\t".join(header))
-        for row in rows:
-            click.echo("\t".join(str(v) for v in row))
+    sep = "," if as_csv else "\t"
+    for row in [header, *_bench_rows(words)]:
+        click.echo(sep.join(str(v) for v in row))
 
 
 def main():

@@ -8,7 +8,8 @@ word is morphically primitive iff ``E`` ends up being the whole alphabet.
 Per round the work is linear in the word length: the violation search
 touches every position at most once (suffix minima per right-cut segment),
 neighborhood computation reads at most ``2n`` positions, fewer than ``2n``
-synchronization edges are added, and recompression is a single linear pass.
+synchronization edges are added, and recompression merges them in place
+before one linear pass restores height one.
 """
 
 from __future__ import annotations

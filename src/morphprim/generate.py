@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .oracle import surface_symbol
-from .words import Word, intern_word
+from .words import Word, intern_word, surface_symbol
 
 
 def palindrome_pair_word(k: int) -> Word:

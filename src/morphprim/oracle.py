@@ -13,15 +13,9 @@ from itertools import combinations
 from typing import Iterator
 
 from .engine import Morphism
-from .words import Word, intern_word
+from .words import Word, intern_word, surface_symbol
 
 DEFAULT_SIZE_GUARD = 16
-
-# surface pool for generated/canonical words: 'a'..'z', then tokens x1, x2, ...
-def surface_symbol(i: int) -> str:
-    if i < 26:
-        return chr(ord("a") + i)
-    return f"x{i - 25}"
 
 
 class WordTooLongError(ValueError):

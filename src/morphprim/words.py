@@ -70,6 +70,13 @@ def intern_word(symbols: Iterable[str]) -> Word:
     return Word(letters=tuple(letters), symbols=tuple(ids))
 
 
+def surface_symbol(i: int) -> str:
+    """Surface form of the ``i``-th letter: ``a`` .. ``z``, then ``x1``, ``x2``, ..."""
+    if i < 26:
+        return chr(ord("a") + i)
+    return f"x{i - 25}"
+
+
 @dataclass(frozen=True)
 class PosIndex:
     """Per-letter occurrence counts and 1-based occurrence positions.

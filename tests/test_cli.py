@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 from click.testing import CliRunner
@@ -11,6 +12,24 @@ from conftest import EXAMPLE_WORD
 
 def invoke(*args, input=None):
     return CliRunner().invoke(cli, list(args), input=input)
+
+
+class FailingAfter(io.BytesIO):
+    """Binary stdin that serves ``data`` once, then fails on every read."""
+
+    def __init__(self, data: bytes):
+        super().__init__()
+        self.data = data
+
+    def read(self, size=-1):
+        if size == 0:  # click probes the stream with read(0)
+            return b""
+        if not self.data:
+            raise OSError("device gone")
+        data, self.data = self.data, b""
+        return data
+
+    read1 = read
 
 
 class TestCheck:
@@ -39,6 +58,17 @@ class TestCheck:
         res = invoke("check", "--tokens", "foo bar foo foo bar foo")
         assert res.exit_code == 0
         assert res.output.strip().endswith("imprimitive")
+
+    def test_stdin_read_error_exit_code(self):
+        res = invoke("check", input=FailingAfter(b""))
+        assert res.exit_code == 3
+        assert "cannot read input" in res.output
+
+    def test_stdin_is_read_lazily(self):
+        # the first word is decided before the failing second read
+        res = invoke("check", input=FailingAfter(b"abaaba\n"))
+        assert res.exit_code == 3
+        assert res.output.splitlines()[0] == "abaaba\timprimitive"
 
 
 class TestFactorize:
@@ -112,6 +142,27 @@ class TestOracle:
         assert invoke("oracle", "a" * 17, "--force").exit_code == 0
 
 
+class TestSingleCharacterTokens:
+    """With --tokens, even one-character tokens are rendered space-separated."""
+
+    def test_factorize(self):
+        res = invoke("factorize", "--tokens", "a b a b")
+        assert res.output.splitlines() == ["a↦a b, b↦ε", "a b|a b", "imprimitive"]
+
+    def test_trace(self):
+        doc = json.loads(invoke("trace", "--tokens", "a b a b").output)
+        assert doc["word"] == "a b a b"
+        assert doc["final"]["images"] == {"a": "a b", "b": ""}
+
+    def test_oracle(self):
+        res = invoke("oracle", "--tokens", "a b a b")
+        assert res.output.splitlines() == [
+            "a b a b\timprimitive",
+            "min_expanding\t1",
+            "witness\ta↦a b, b↦ε",
+        ]
+
+
 class TestGen:
     def test_family_wn(self):
         assert invoke("gen", "--family", "wn", "--n", "3").output == "abccba\n"
@@ -155,6 +206,14 @@ class TestBench:
         res = invoke("bench", "--file", "-", "--csv", input="abba\n")
         assert res.exit_code == 0
         assert len(res.output.splitlines()) == 2
+
+    def test_table_matches_csv(self):
+        args = ("bench", "--family", "wn", "--n-max", "3")
+        table = [line.split("\t") for line in invoke(*args).output.splitlines()]
+        csv = [line.split(",") for line in invoke(*args, "--csv").output.splitlines()]
+        assert table[0] == csv[0]
+        # every column but the wall time
+        assert [row[:-1] for row in table] == [row[:-1] for row in csv]
 
     def test_missing_file_exit_code(self):
         res = invoke("bench", "--file", "/nonexistent/words.txt")

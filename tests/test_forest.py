@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from morphprim import SyncForest
@@ -149,3 +151,24 @@ def test_flag_set_before_recompress_survives_merge():
     f.recompress()
     assert f.has_flag(1, "L")
     assert f.flagged_cuts("L") == [1, 3]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_recompress_long_chain(order):
+    # one path through every cut, its edges fed in three orders: the merge
+    # must give the same single component whatever the order
+    n = 10_000
+    edges = [(c, c + 1) for c in range(n)]
+    if order == "descending":
+        edges.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(edges)
+    f = SyncForest(n)
+    f.set_flag(n, "L")
+    f.set_flag(n // 2, "R")
+    f.add_edges(edges)
+    cells = f.recompress()
+    assert cells <= 8 * n + 2
+    assert all(p == 0 for p in f.parent)  # root is the smallest cut, height one
+    assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
+    assert [c for c in range(n + 1) if f._flag_l[c] or f._flag_r[c]] == [0]
