@@ -43,7 +43,7 @@ def _lines(source) -> Iterator[str]:
     try:
         for line in source:
             yield line.rstrip("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: cannot read input: {exc}", err=True)
         sys.exit(3)
 
@@ -208,8 +208,10 @@ def _bench_rows(words: list[tuple[str, Word]]) -> list[tuple]:
             w.alphabet_size,
             len(result.expanding),
             result.round_count,
-            c.scanned + c.visits,
+            c.scanned,
+            c.visits,
             c.edges,
+            c.cells,
             elapsed,
         ))
     return rows
@@ -224,7 +226,12 @@ def _bench_rows(words: list[tuple[str, Word]]) -> list[tuple]:
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
 @click.option("--csv", "as_csv", is_flag=True, help="Emit CSV with a header row.")
 def cmd_bench(family, n_max, path, tokens, as_csv):
-    """One row per word: n, m, |E|, rounds, scanned, edges, nanoseconds."""
+    """One row per word: n, m, |E|, rounds, the four work counters, nanoseconds.
+
+    The counters are positions read by the violation scan (scanned), by the
+    neighborhood computation (visits), synchronization edges added (edges)
+    and cells touched by recompression (cells), summed over the run.
+    """
     words: list[tuple[str, Word]] = []
     if family == "wn":
         if n_max is None or n_max < 1:
@@ -245,7 +252,7 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
     else:
         raise click.UsageError("choose --family wn or --file")
 
-    header = ("n", "m", "expanding", "rounds", "scanned", "edges", "ns")
+    header = ("n", "m", "expanding", "rounds", "scanned", "visits", "edges", "cells", "ns")
     sep = "," if as_csv else "\t"
     for row in [header, *_bench_rows(words)]:
         click.echo(sep.join(str(v) for v in row))

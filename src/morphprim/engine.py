@@ -78,6 +78,8 @@ class EngineState:
         for side in ("L", "R"):
             self.forest.set_flag(0, side)
             self.forest.set_flag(word.n, side)
+        # the flagged L/R cuts, re-read once per round after recompression
+        self.left_cuts = self.right_cuts = tuple(sorted({0, word.n}))
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.rounds: list[RoundRecord] = []
         self.counters = Counters()
@@ -97,36 +99,36 @@ def find_violation(state: EngineState) -> int | None:
     Per-segment suffix minima make the scan touch each position at most
     once, so one call reads at most ``n`` positions.
     """
-    w = state.word
+    letters = state.word.letters
+    n = len(letters)
     freq = state.index.count
-    left = state.forest.flagged_cuts("L")
-    right = state.forest.flagged_cuts("R")
+    left, right = state.left_cuts, state.right_cuts
     scanned = 0
     ri = 0
     seg_hi = -1
-    seg_best: dict[int, int] = {}
+    # seg_best[i]: leftmost least-frequent index in i..seg_hi-1 (0-based)
+    seg_best = [0] * n
     try:
         for l in left:
-            if l >= w.n:
+            if l >= n:
                 continue
             while right[ri] <= l:
                 ri += 1
             r = right[ri]
             if r != seg_hi:
-                # suffix argmin over positions lo+1..r; right-to-left pass
-                # keeps ties at the leftmost position
+                # suffix argmin over indices lo..r-1 (positions lo+1..r);
+                # the right-to-left pass keeps ties at the leftmost index
                 lo = right[ri - 1]
-                seg_best = {}
-                arg = r
-                for p in range(r, lo, -1):
-                    if freq[w.at(p)] <= freq[w.at(arg)]:
-                        arg = p
-                    seg_best[p] = arg
-                    scanned += 1
+                arg = r - 1
+                for i in range(r - 1, lo - 1, -1):
+                    if freq[letters[i]] <= freq[letters[arg]]:
+                        arg = i
+                    seg_best[i] = arg
+                scanned += r - lo
                 seg_hi = r
-            k = seg_best[l + 1]
-            if w.at(k) not in state.expanding:
-                return w.at(k)
+            a = letters[seg_best[l]]
+            if a not in state.expanding:
+                return a
         return None
     finally:
         state.last_scan = scanned
@@ -166,6 +168,8 @@ def expand_letter(state: EngineState, a: int) -> None:
     ]
     forest.add_edges(edges)
     cells = forest.recompress()
+    state.left_cuts = tuple(forest.flagged_cuts("L"))
+    state.right_cuts = tuple(forest.flagged_cuts("R"))
 
     state.expanding.add(a)
     state.counters.visits += nb.visited
@@ -176,8 +180,8 @@ def expand_letter(state: EngineState, a: int) -> None:
             number=len(state.rounds) + 1,
             letter=a,
             neighborhood=nb,
-            left_cuts=tuple(forest.flagged_cuts("L")),
-            right_cuts=tuple(forest.flagged_cuts("R")),
+            left_cuts=state.left_cuts,
+            right_cuts=state.right_cuts,
             scanned=state.last_scan,
             visits=nb.visited,
             edges=len(edges),
@@ -273,8 +277,8 @@ def run(word: Word) -> FactorizationResult:
         morphism=morphism,
         primitive=len(state.expanding) == word.alphabet_size,
         rounds=tuple(state.rounds),
-        left_cuts=tuple(state.forest.flagged_cuts("L")),
-        right_cuts=tuple(state.forest.flagged_cuts("R")),
+        left_cuts=state.left_cuts,
+        right_cuts=state.right_cuts,
         factor_cuts=tuple(k for k in range(word.n + 1) if plen[k] == k),
         counters=state.counters,
     )

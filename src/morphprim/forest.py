@@ -24,8 +24,8 @@ class SyncForest:
             raise ValueError("word length must be non-negative")
         self.n = n
         self.parent = list(range(n + 1))
-        self._flag_l = [False] * (n + 1)
-        self._flag_r = [False] * (n + 1)
+        # per-root flags by side; any other side is a KeyError
+        self._flags = {side: [False] * (n + 1) for side in ("L", "R")}
         self.pending: list[tuple[int, int]] = []
 
     def _check(self, c: int) -> None:
@@ -39,14 +39,12 @@ class SyncForest:
 
     def has_flag(self, c: int, side: Side) -> bool:
         self._check(c)
-        flags = self._flag_l if side == "L" else self._flag_r
-        return flags[self.parent[c]]
+        return self._flags[side][self.parent[c]]
 
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
         self._check(c)
-        flags = self._flag_l if side == "L" else self._flag_r
-        flags[self.parent[c]] = True
+        self._flags[side][self.parent[c]] = True
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> int:
         """Buffer edges; components change only at the next recompress."""
@@ -78,7 +76,7 @@ class SyncForest:
         """
         if not self.pending:
             return 0
-        parent, flag_l, flag_r = self.parent, self._flag_l, self._flag_r
+        parent, flag_l, flag_r = self.parent, self._flags["L"], self._flags["R"]
         hops = 0
         for u, v in self.pending:
             while parent[u] != u:
@@ -104,8 +102,8 @@ class SyncForest:
 
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts whose component carries the flag, ascending."""
-        flags = self._flag_l if side == "L" else self._flag_r
-        return [c for c in range(self.n + 1) if flags[self.parent[c]]]
+        flags = self._flags[side]
+        return [c for c, root in enumerate(self.parent) if flags[root]]
 
     def components(self) -> list[list[int]]:
         """Current components as sorted cut lists (for tests and traces)."""

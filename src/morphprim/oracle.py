@@ -29,35 +29,40 @@ def _factorize(word: Word, expanding: frozenset[int]) -> dict[int, tuple[int, ..
     expanding letter; the cut after block ``i`` ranges over the window
     between that occurrence and the next one.  As soon as a letter's block
     is fixed, later blocks of the same letter are forced, which prunes the
-    search.
+    search.  The depth-first search keeps its open choices on an explicit
+    stack, so its depth is not bounded by Python's recursion limit.
     """
     occ = [p for p in range(1, word.n + 1) if word.at(p) in expanding]
-    q = len(occ)
+    # cuts that may end block i; the last block ends the word
+    window = [range(p, nxt) for p, nxt in zip(occ, occ[1:])] + [range(word.n, word.n + 1)]
     images: dict[int, tuple[int, ...]] = {}
-
-    def search(i: int, prev_cut: int) -> bool:
+    # blocks whose letter got its image there, innermost last:
+    # (block, its letter, cut before it, cut ending it)
+    choices: list[tuple[int, int, int, int]] = []
+    i = prev_cut = 0
+    while i < len(occ):
         e = word.at(occ[i])
-        if i == q - 1:
-            block = word.segment(prev_cut + 1, word.n)
-            if e in images:
-                return images[e] == block
-            images[e] = block
-            return True
         if e in images:
             c = prev_cut + len(images[e])
-            if occ[i] <= c < occ[i + 1] and word.segment(prev_cut + 1, c) == images[e]:
-                return search(i + 1, c)
-            return False
-        for c in range(occ[i], occ[i + 1]):
-            images[e] = word.segment(prev_cut + 1, c)
-            if search(i + 1, c):
-                return True
+            if c in window[i] and word.segment(prev_cut + 1, c) == images[e]:
+                i, prev_cut = i + 1, c
+                continue
+        else:
+            # a new choice, moved onto the window's first cut just below
+            choices.append((i, e, prev_cut, window[i].start - 1))
+        # move the innermost choice to its next cut, dropping exhausted ones
+        while True:
+            if not choices:
+                return None
+            i, e, prev_cut, c = choices.pop()
+            if c + 1 in window[i]:
+                break
             del images[e]
-        return False
-
-    if search(0, 0):
-        return images
-    return None
+        c += 1
+        images[e] = word.segment(prev_cut + 1, c)
+        choices.append((i, e, prev_cut, c))
+        i, prev_cut = i + 1, c
+    return images
 
 
 def factorization_exists(word: Word, expanding: frozenset[int] | set[int]) -> bool:

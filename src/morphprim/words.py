@@ -124,50 +124,35 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
     if not 0 <= a < w.alphabet_size or idx.count[a] == 0:
         raise ValueError(f"letter {a} does not occur in the word")
     occ = idx.pos[a]
-    n = w.n
-    visited = 0
+    right, right_visited = _common_extension(w.letters, occ, 1)
+    left, left_visited = _common_extension(w.letters, occ, -1)
+    return Neighborhood(left_len=left, right_len=right, visited=right_visited + left_visited)
 
-    right = 0
+
+def _common_extension(
+    letters: tuple[int, ...], occ: tuple[int, ...], step: int
+) -> tuple[int, int]:
+    """Length of the common extension of ``occ`` and the positions read.
+
+    Extends by ``step`` (+1 rightwards, -1 leftwards) while every occurrence
+    reads the same letter inside the word.
+    """
+    n = len(letters)
+    first, rest = occ[0], occ[1:]
+    length = visited = 0
     while True:
-        k = right + 1
-        if occ[0] + k > n:
-            break
+        k = (length + 1) * step
+        if not 1 <= first + k <= n:
+            return length, visited
         visited += 1
-        first = w.at(occ[0] + k)
-        ok = True
-        for p in occ[1:]:
-            if p + k > n:
-                ok = False
-                break
+        c = letters[first + k - 1]
+        for p in rest:
+            if not 1 <= p + k <= n:
+                return length, visited
             visited += 1
-            if w.at(p + k) != first:
-                ok = False
-                break
-        if not ok:
-            break
-        right = k
-
-    left = 0
-    while True:
-        k = left + 1
-        if occ[0] - k < 1:
-            break
-        visited += 1
-        first = w.at(occ[0] - k)
-        ok = True
-        for p in occ[1:]:
-            if p - k < 1:
-                ok = False
-                break
-            visited += 1
-            if w.at(p - k) != first:
-                ok = False
-                break
-        if not ok:
-            break
-        left = k
-
-    return Neighborhood(left_len=left, right_len=right, visited=visited)
+            if letters[p + k - 1] != c:
+                return length, visited
+        length += 1
 
 
 def alpha_naive(w: Word, idx: PosIndex, i: int, j: int) -> int:

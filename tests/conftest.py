@@ -65,8 +65,11 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
 
     Per round: the violation scan reads each position at most once (<= n),
     neighborhood computation reads at most 2n positions, fewer than 2n
-    synchronization edges are added, recompression touches at most 8n + 2
-    cells (one visit per cut plus two per link, under 3n links).
+    synchronization edges are added, and recompression touches at most
+    8n + 2 cells.  A cell is one root-search hop or one cut of the final
+    flattening pass (n + 1 of those); with linking by index and path
+    halving the hops are not linear in the worst case, so this bound is a
+    measured one, not a proven one (see ``SyncForest.recompress``).
     """
     n = w.n
     e = len(result.expanding)

@@ -141,6 +141,13 @@ class TestOracle:
         assert invoke("oracle", "a" * 17, "--max-len", "20").exit_code == 0
         assert invoke("oracle", "a" * 17, "--force").exit_code == 0
 
+    def test_force_search_deeper_than_recursion_limit(self):
+        # {a} is tried first, with 1 200 blocks in a row before it fails
+        word = "ab" * 1200 + "c"
+        res = invoke("oracle", "--force", word)
+        assert res.exit_code == 0
+        assert res.output.splitlines()[:2] == [f"{word}\timprimitive", "min_expanding\t1"]
+
 
 class TestSingleCharacterTokens:
     """With --tokens, even one-character tokens are rendered space-separated."""
@@ -188,11 +195,13 @@ class TestBench:
     def test_wn_family_csv(self):
         res = invoke("bench", "--family", "wn", "--n-max", "4", "--csv")
         lines = res.output.splitlines()
-        assert lines[0] == "n,m,expanding,rounds,scanned,edges,ns"
+        assert lines[0] == "n,m,expanding,rounds,scanned,visits,edges,cells,ns"
         for k, line in enumerate(lines[1:], start=1):
             n, m, e, rounds = map(int, line.split(",")[:4])
             assert (n, m) == (2 * k, k)
             assert rounds == e == k  # primitive family: one round per letter
+        # aa: run()'s counters scanned, visits, edges, cells, one per column
+        assert lines[1].split(",")[4:8] == ["4", "1", "2", "4"]
 
     def test_file_input_with_empty_word(self, tmp_path):
         path = tmp_path / "words.txt"
@@ -218,3 +227,10 @@ class TestBench:
     def test_missing_file_exit_code(self):
         res = invoke("bench", "--file", "/nonexistent/words.txt")
         assert res.exit_code == 3
+
+    def test_malformed_utf8_file_exit_code(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"ab\xffa\n")
+        res = invoke("bench", "--file", str(path))
+        assert res.exit_code == 3
+        assert "cannot read input" in res.output

@@ -70,6 +70,17 @@ def test_set_flag_idempotent():
     assert f.flagged_cuts("R") == [2]
 
 
+def test_unknown_side_is_rejected():
+    f = SyncForest(3)
+    with pytest.raises(KeyError):
+        f.set_flag(1, "X")
+    with pytest.raises(KeyError):
+        f.has_flag(1, "l")
+    with pytest.raises(KeyError):
+        f.flagged_cuts("")
+    assert f.flagged_cuts("L") == f.flagged_cuts("R") == []
+
+
 def test_add_edges_buffered_until_recompress():
     f = SyncForest(6)
     f.add_edges([(0, 3)])
@@ -133,7 +144,7 @@ def test_height_one_and_flags_at_roots():
         assert f.parent[f.parent[c]] == f.parent[c]
     for c in range(11):
         if f.parent[c] != c:
-            assert not f._flag_l[c] and not f._flag_r[c]
+            assert not f._flags["L"][c] and not f._flags["R"][c]
 
 
 def test_smallest_cut_is_root():
@@ -171,4 +182,4 @@ def test_recompress_long_chain(order):
     assert cells <= 8 * n + 2
     assert all(p == 0 for p in f.parent)  # root is the smallest cut, height one
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
-    assert [c for c in range(n + 1) if f._flag_l[c] or f._flag_r[c]] == [0]
+    assert [c for c in range(n + 1) if f._flags["L"][c] or f._flags["R"][c]] == [0]

@@ -75,12 +75,16 @@ def test_run_agrees_with_oracle(w):
 
 @given(words)
 def test_engine_violation_scan_matches_naive_alpha(w):
-    # every stretch the scan reports must be the naive alpha of its interval
+    # every stretch the scan reports must be the naive alpha of its interval;
+    # the cut snapshot it reads must match the forest, initially and after
+    # every round
     state = EngineState(w)
     idx = state.index
     while True:
         left = state.forest.flagged_cuts("L")
         right = state.forest.flagged_cuts("R")
+        assert state.left_cuts == tuple(left)
+        assert state.right_cuts == tuple(right)
         a = find_violation(state)
         if a is None:
             break
