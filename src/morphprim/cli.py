@@ -39,11 +39,18 @@ def parse_word(text: str, tokens: bool) -> Word:
 
 
 def _lines(source) -> Iterator[str]:
-    """Lines of ``source`` without newlines, read one at a time."""
+    """Lines of ``source`` without newlines, read one at a time.
+
+    Malformed UTF-8 is a read error.  Under a C or POSIX locale ``sys.stdin``
+    decodes with ``surrogateescape``, which turns each undecodable byte into
+    a lone surrogate; encoding a non-ASCII line back finds it.
+    """
     try:
         for line in source:
+            if not line.isascii():
+                line.encode("utf-8")
             yield line.rstrip("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         click.echo(f"error: cannot read input: {exc}", err=True)
         sys.exit(3)
 
@@ -116,10 +123,13 @@ def cli():
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
 def cmd_check(words: tuple[str, ...], tokens: bool):
     """Print `word<TAB>verdict` for each word (args, or stdin lines)."""
+    # written directly, as click.echo costs several times more per line; the
+    # flush keeps each verdict visible before the next word is read
+    out = sys.stdout
     for line in words or _lines(sys.stdin):
         result = run(parse_word(line, tokens))
-        verdict = "primitive" if result.primitive else "imprimitive"
-        click.echo(f"{line}\t{verdict}")
+        out.write(f"{line}\t{'primitive' if result.primitive else 'imprimitive'}\n")
+        out.flush()
 
 
 @cli.command("factorize")

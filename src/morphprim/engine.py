@@ -5,16 +5,22 @@ the minimal left/right cut sets, then reads off an idempotent morphism
 ``f`` with ``f(w) = w`` whose non-erased letters are exactly ``E``.  The
 word is morphically primitive iff ``E`` ends up being the whole alphabet.
 
-Per round the work is linear in the word length: the violation search
-touches every position at most once (suffix minima per right-cut segment),
-neighborhood computation reads at most ``2n`` positions, fewer than ``2n``
-synchronization edges are added, and recompression merges them in place
-before one linear pass restores height one.
+A round costs what it changes.  The violation scan resumes at the lowest
+left cut a round may have changed (its new left cuts, or the old ones whose
+right cut moved) and touches each position it passes at most once (suffix
+minima per right-cut segment); neighborhood computation reads at most
+``2n`` positions; fewer than ``2n`` synchronization edges are added; and
+recompression walks only the edges and the cuts whose root changed.  Each
+cut joins the left and the right cut list at most once per run, so beyond
+that the only per-round cost is a copy of the two lists for the round's
+record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from .forest import SyncForest
 from .words import Neighborhood, PosIndex, Word, build_index, neighborhood
@@ -70,16 +76,23 @@ class EngineState:
     """Mutable state of one factorization run; single-threaded use."""
 
     def __init__(self, word: Word):
+        n = word.n
         self.word = word
         self.index = build_index(word)
         self.expanding: set[int] = set()
-        self.forest = SyncForest(word.n)
+        self.forest = forest = SyncForest(n)
         # extremal cuts are always both left and right
         for side in ("L", "R"):
-            self.forest.set_flag(0, side)
-            self.forest.set_flag(word.n, side)
+            forest.set_flag(0, side)
+            forest.set_flag(n, side)
         # the flagged L/R cuts, re-read once per round after recompression
-        self.left_cuts = self.right_cuts = tuple(sorted({0, word.n}))
+        self.left_cuts = tuple(forest.flagged_cuts("L"))
+        self.right_cuts = tuple(forest.flagged_cuts("R"))
+        # no left cut below this cut violates the minimal-frequency condition
+        self.scan_from = 0
+        # seg_best[i]: leftmost least-frequent index from i to the end of the
+        # segment last scanned (0-based); kept to spare an allocation per scan
+        self.seg_best = [0] * n
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.rounds: list[RoundRecord] = []
         self.counters = Counters()
@@ -89,50 +102,58 @@ class EngineState:
 def find_violation(state: EngineState) -> int | None:
     """Letter breaking the minimal-frequency condition, or None if stable.
 
-    Walks left cuts in increasing order; for each one only the stretch up
-    to the next right cut is inspected.  If every inspected stretch has its
-    leftmost least-frequent letter already expanding, no stretch at all can
-    violate the condition (a smallest counterexample would have to survive
-    narrowing past an already-checked stretch, which is impossible), so a
-    None result certifies stability for all left/right cut pairs.
+    Walks left cuts in increasing order from ``state.scan_from``; for each
+    one only the stretch up to the next right cut is inspected.  If every
+    inspected stretch has its leftmost least-frequent letter already
+    expanding, no stretch at all can violate the condition (a smallest
+    counterexample would have to survive narrowing past an already-checked
+    stretch, which is impossible), so a None result certifies stability for
+    all left/right cut pairs.  Left cuts below ``state.scan_from`` were
+    checked by an earlier call and kept their right cut since, so the
+    letter returned is the one a scan from cut 0 would return.
 
-    Per-segment suffix minima make the scan touch each position at most
-    once, so one call reads at most ``n`` positions.
+    Per-segment suffix minima, taken from the segment's end down to its
+    first left cut, make the scan touch each position at most once, so one
+    call reads at most ``n`` positions.  Sets ``state.scan_from`` to the
+    violating left cut, or past ``n`` if there is none.
     """
     letters = state.word.letters
     n = len(letters)
     freq = state.index.count
+    expanding = state.expanding
     left, right = state.left_cuts, state.right_cuts
+    seg_best = state.seg_best
     scanned = 0
-    ri = 0
+    ri = bisect_right(right, state.scan_from)
     seg_hi = -1
-    # seg_best[i]: leftmost least-frequent index in i..seg_hi-1 (0-based)
-    seg_best = [0] * n
-    try:
-        for l in left:
-            if l >= n:
-                continue
-            while right[ri] <= l:
-                ri += 1
-            r = right[ri]
-            if r != seg_hi:
-                # suffix argmin over indices lo..r-1 (positions lo+1..r);
-                # the right-to-left pass keeps ties at the leftmost index
-                lo = right[ri - 1]
-                arg = r - 1
-                for i in range(r - 1, lo - 1, -1):
-                    if freq[letters[i]] <= freq[letters[arg]]:
-                        arg = i
-                    seg_best[i] = arg
-                scanned += r - lo
-                seg_hi = r
-            a = letters[seg_best[l]]
-            if a not in state.expanding:
-                return a
-        return None
-    finally:
-        state.last_scan = scanned
-        state.counters.scanned += scanned
+    violator = None
+    stop = n + 1
+    for l in islice(left, bisect_left(left, state.scan_from), None):
+        if l >= n:
+            break
+        while right[ri] <= l:
+            ri += 1
+        r = right[ri]
+        if r != seg_hi:
+            # suffix argmin over indices l..r-1 (positions l+1..r); the
+            # right-to-left pass keeps ties at the leftmost index
+            arg = r - 1
+            least = freq[letters[arg]]
+            for i in range(r - 1, l - 1, -1):
+                f = freq[letters[i]]
+                if f <= least:
+                    arg, least = i, f
+                seg_best[i] = arg
+            scanned += r - l
+            seg_hi = r
+        a = letters[seg_best[l]]
+        if a not in expanding:
+            violator, stop = a, l
+            break
+    state.scan_from = stop
+    state.last_scan = scanned
+    state.counters.scanned += scanned
+    return violator
 
 
 def expand_letter(state: EngineState, a: int) -> None:
@@ -161,19 +182,31 @@ def expand_letter(state: EngineState, a: int) -> None:
         forest.set_flag(k - nb.left_len - 1, "R")
 
     first = occ[0]
-    edges = [
-        (first + m, k + m)
-        for k in occ[1:]
-        for m in range(-nb.left_len - 1, nb.right_len + 1)
-    ]
-    forest.add_edges(edges)
+    lo, hi = -nb.left_len - 1, nb.right_len + 1
+    edges = forest.add_edges(
+        (first + m, k + m) for k in islice(occ, 1, None) for m in range(lo, hi)
+    )
     cells = forest.recompress()
+    old_right = state.right_cuts
     state.left_cuts = tuple(forest.flagged_cuts("L"))
     state.right_cuts = tuple(forest.flagged_cuts("R"))
 
+    # rescan from the first left cut that is new or whose right cut may have
+    # moved: the smallest new L cut, and the old R cut just below the
+    # smallest new R cut (every left cut above it may now stop earlier)
+    new_l, new_r = forest.joined["L"], forest.joined["R"]
+    scan_from = state.scan_from
+    if new_l and new_l[0] < scan_from:
+        scan_from = new_l[0]
+    if new_r:
+        below = old_right[bisect_left(old_right, new_r[0]) - 1]
+        if below < scan_from:
+            scan_from = below
+    state.scan_from = scan_from
+
     state.expanding.add(a)
     state.counters.visits += nb.visited
-    state.counters.edges += len(edges)
+    state.counters.edges += edges
     state.counters.cells += cells
     state.rounds.append(
         RoundRecord(
@@ -184,7 +217,7 @@ def expand_letter(state: EngineState, a: int) -> None:
             right_cuts=state.right_cuts,
             scanned=state.last_scan,
             visits=nb.visited,
-            edges=len(edges),
+            edges=edges,
             cells=cells,
         )
     )
@@ -204,20 +237,17 @@ def image(state: EngineState, a: int) -> tuple[int, ...]:
 
 
 def image_at(state: EngineState, a: int, k: int) -> tuple[int, ...]:
-    """Image of expanding letter ``a`` anchored at occurrence position ``k``."""
-    forest = state.forest
-    i = 0
-    while not forest.has_flag(k - i - 1, "R"):
-        i += 1
-    best_j = 0  # cut k itself is always a right cut for an expanding letter
-    j = 0
-    while True:
-        if forest.has_flag(k + j, "R"):
-            best_j = j
-        if forest.has_flag(k + j, "L"):
-            break
-        j += 1
-    return state.word.segment(k - i, k + best_j)
+    """Image of expanding letter ``a`` anchored at occurrence position ``k``.
+
+    Read off the round's cut tuples: the image starts after the largest
+    right cut below ``k`` and ends at the largest right cut at or before
+    the first left cut at or after ``k``.
+    """
+    left, right = state.left_cuts, state.right_cuts
+    start = right[bisect_left(right, k) - 1]
+    stop = left[bisect_left(left, k)]
+    end = right[bisect_right(right, stop) - 1]
+    return state.word.segment(start + 1, end)
 
 
 @dataclass(frozen=True)
@@ -271,7 +301,10 @@ def run(word: Word) -> FactorizationResult:
         for a in range(word.alphabet_size)
     )
     morphism = Morphism(expanding=frozenset(state.expanding), images=images)
-    plen = prefix_image_lengths(word, morphism)
+    # factor cuts: where the running total of image lengths meets the cut
+    lengths = [len(img) for img in images]
+    totals = accumulate(map(lengths.__getitem__, word.letters), initial=0)
+    factor_cuts = tuple(k for k, t in enumerate(totals) if t == k)
     return FactorizationResult(
         word=word,
         morphism=morphism,
@@ -279,7 +312,7 @@ def run(word: Word) -> FactorizationResult:
         rounds=tuple(state.rounds),
         left_cuts=state.left_cuts,
         right_cuts=state.right_cuts,
-        factor_cuts=tuple(k for k in range(word.n + 1) if plen[k] == k),
+        factor_cuts=factor_cuts,
         counters=state.counters,
     )
 

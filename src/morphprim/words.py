@@ -94,10 +94,7 @@ def build_index(w: Word) -> PosIndex:
     occ: list[list[int]] = [[] for _ in range(w.alphabet_size)]
     for p, a in enumerate(w.letters, start=1):
         occ[a].append(p)
-    return PosIndex(
-        count=tuple(len(o) for o in occ),
-        pos=tuple(tuple(o) for o in occ),
-    )
+    return PosIndex(count=tuple(map(len, occ)), pos=tuple(map(tuple, occ)))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,19 @@ from morphprim import (
 EXAMPLE_WORD = "caabcaadeaabeaad"
 
 
+def first_violation_naive(w: Word, state) -> int | None:
+    """The letter of the first left cut whose stretch violates, by alpha_naive."""
+    left, right = state.left_cuts, state.right_cuts
+    for l in left:
+        if l >= w.n:
+            continue
+        r = min(c for c in right if c > l)
+        a = w.at(alpha_naive(w, state.index, l, r))
+        if a not in state.expanding:
+            return a
+    return None
+
+
 def assert_stable(w: Word, result: FactorizationResult) -> None:
     """Exhaustive (quadratic) check of all stability conditions at exit."""
     idx = build_index(w)
@@ -63,13 +76,14 @@ def assert_fixed_point(w: Word, result: FactorizationResult) -> None:
 def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     """Per-round and whole-run work bounds.
 
-    Per round: the violation scan reads each position at most once (<= n),
-    neighborhood computation reads at most 2n positions, fewer than 2n
-    synchronization edges are added, and recompression touches at most
-    8n + 2 cells.  A cell is one root-search hop or one cut of the final
-    flattening pass (n + 1 of those); with linking by index and path
-    halving the hops are not linear in the worst case, so this bound is a
-    measured one, not a proven one (see ``SyncForest.recompress``).
+    Per round: the violation scan reads each position at most once (<= n;
+    it resumes where the last round's changes begin, so it often reads
+    far fewer), neighborhood computation reads at most 2n positions, fewer
+    than 2n synchronization edges are added, and recompression touches at
+    most 8n + 2 cells.  A cell is one root-search hop or one cut pointed at
+    a new root (at most n of those); with linking by index and path halving
+    the hops are not linear in the worst case, so this bound is a measured
+    one, not a proven one (see ``SyncForest.recompress``).
     """
     n = w.n
     e = len(result.expanding)

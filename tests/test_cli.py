@@ -2,6 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from click.testing import CliRunner
 
@@ -12,6 +18,22 @@ from conftest import EXAMPLE_WORD
 
 def invoke(*args, input=None):
     return CliRunner().invoke(cli, list(args), input=input)
+
+
+# stdin decodings to run the CLI under: as the environment has it, the C
+# locale's surrogate escapes, and strict UTF-8
+STDIN_ENVS = [{}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}]
+
+
+def run_cli(args, stdin: bytes, env: dict[str, str]):
+    """Run ``morphprim`` in a real subprocess, whose stdin decodes like a
+    terminal's (CliRunner decodes its input strictly)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run(
+        [sys.executable, "-m", "morphprim.cli", *args],
+        input=stdin, capture_output=True, env=env, timeout=60,
+    )
 
 
 class FailingAfter(io.BytesIO):
@@ -63,6 +85,18 @@ class TestCheck:
         res = invoke("check", input=FailingAfter(b""))
         assert res.exit_code == 3
         assert "cannot read input" in res.output
+
+    @pytest.mark.parametrize("env", STDIN_ENVS)
+    def test_malformed_utf8_stdin_exit_code(self, env):
+        res = run_cli(["check"], b"ab\xffa\n", env)
+        assert res.returncode == 3
+        assert res.stdout == b""
+        assert b"cannot read input" in res.stderr
+
+    def test_utf8_stdin_is_accepted(self):
+        res = run_cli(["check"], "aéa\n".encode(), {"LC_ALL": "C"})
+        assert res.returncode == 0
+        assert res.stdout == "aéa\timprimitive\n".encode()
 
     def test_stdin_is_read_lazily(self):
         # the first word is decided before the failing second read
@@ -201,7 +235,7 @@ class TestBench:
             assert (n, m) == (2 * k, k)
             assert rounds == e == k  # primitive family: one round per letter
         # aa: run()'s counters scanned, visits, edges, cells, one per column
-        assert lines[1].split(",")[4:8] == ["4", "1", "2", "4"]
+        assert lines[1].split(",")[4:8] == ["4", "1", "2", "3"]
 
     def test_file_input_with_empty_word(self, tmp_path):
         path = tmp_path / "words.txt"
@@ -227,6 +261,12 @@ class TestBench:
     def test_missing_file_exit_code(self):
         res = invoke("bench", "--file", "/nonexistent/words.txt")
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("env", STDIN_ENVS)
+    def test_malformed_utf8_stdin_exit_code(self, env):
+        res = run_cli(["bench", "--file", "-"], b"ab\xffa\n", env)
+        assert res.returncode == 3
+        assert b"cannot read input" in res.stderr
 
     def test_malformed_utf8_file_exit_code(self, tmp_path):
         path = tmp_path / "words.txt"

@@ -10,12 +10,19 @@ from morphprim import (
     image,
     intern_word,
     left_right_cut_check,
+    palindrome_pair_word,
+    random_word,
     run,
     verify,
 )
 from morphprim.engine import image_at
 
-from conftest import EXAMPLE_WORD, assert_counter_bounds, assert_fixed_point
+from conftest import (
+    EXAMPLE_WORD,
+    assert_counter_bounds,
+    assert_fixed_point,
+    first_violation_naive,
+)
 
 
 def letter_id(w, symbol):
@@ -255,3 +262,56 @@ class TestLeftRightCutCheck:
         r = run(w)
         # |f(ab)| = 3 > 2, so 2 cannot be a left cut
         assert not left_right_cut_check(w, r.morphism, [2], [])
+
+
+def image_by_walk(state, k):
+    """Reference readout: walk the forest's flags cut by cut from ``k``."""
+    forest = state.forest
+    i = 0
+    while not forest.has_flag(k - i - 1, "R"):
+        i += 1
+    best_j = j = 0
+    while True:
+        if forest.has_flag(k + j, "R"):
+            best_j = j
+        if forest.has_flag(k + j, "L"):
+            break
+        j += 1
+    return state.word.segment(k - i, k + best_j)
+
+
+def test_image_at_matches_flag_walk(small_corpus):
+    words = small_corpus[::5] + [intern_word(EXAMPLE_WORD)]
+    words += [random_word(300, a, seed) for a in (2, 3, 5) for seed in range(4)]
+    for w in words:
+        state = EngineState(w)
+        while (a := find_violation(state)) is not None:
+            expand_letter(state, a)
+            # every expanding letter, at every occurrence, after every round
+            for b in state.expanding:
+                for k in state.index.pos[b]:
+                    assert image_at(state, b, k) == image_by_walk(state, k)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("ebecb", "cb"),  # needs the scan lowered for a new right cut
+        ("fedabedbcb", "fcadb"),  # needs the scan lowered for a new left cut
+    ],
+)
+def test_resumed_scan_after_expansions_out_of_scan_order(text, order):
+    w = intern_word(text)
+    state = EngineState(w)
+    for s in order:
+        assert find_violation(state) == first_violation_naive(w, state)
+        expand_letter(state, letter_id(w, s))
+    assert find_violation(state) == first_violation_naive(w, state)
+
+
+def test_wn_work_gate():
+    # resuming the scan and relabeling only the cuts that moved keep the
+    # work on wn (k = 64) well below one pass over all cuts per round
+    r = run(palindrome_pair_word(64))
+    assert r.counters.scanned <= 4_800
+    assert r.counters.cells <= 5_000

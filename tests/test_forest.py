@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from morphprim import SyncForest
 
@@ -183,3 +185,85 @@ def test_recompress_long_chain(order):
     assert all(p == 0 for p in f.parent)  # root is the smallest cut, height one
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
     assert [c for c in range(n + 1) if f._flags["L"][c] or f._flags["R"][c]] == [0]
+
+
+def member_cycle(f, root):
+    cycle, c = [root], f.next[root]
+    while c != root:
+        cycle.append(c)
+        c = f.next[c]
+    return cycle
+
+
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("flag"), st.integers(0, 12), st.sampled_from("LR")),
+        st.tuples(
+            st.just("merge"),
+            st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+        ),
+        st.tuples(st.just("read"), st.sampled_from("LR")),
+    ),
+    max_size=30,
+)
+
+
+@given(st.integers(0, 12), ops)
+def test_incremental_lists_match_brute_force(n, steps):
+    # flagged_cuts must equal a scan of the roots' flags, whatever order
+    # flags, merges and reads come in, and joined must hold exactly the cuts
+    # added since the previous read; the member cycles must partition the
+    # cuts exactly as components() does
+    f = SyncForest(n)
+    seen = {"L": [], "R": []}
+
+    def read(side):
+        flags = f._flags[side]
+        cuts = f.flagged_cuts(side)
+        assert cuts == [c for c in range(n + 1) if flags[f.parent[c]]]
+        assert f.joined[side] == sorted(set(cuts) - set(seen[side]))
+        seen[side] = cuts
+
+    for step in steps:
+        if step[0] == "flag":
+            f.set_flag(min(step[1], n), step[2])
+        elif step[0] == "merge":
+            f.add_edges([(min(u, n), min(v, n)) for u, v in step[1]])
+            f.recompress()
+        else:
+            read(step[1])
+        components = f.components()
+        assert [sorted(member_cycle(f, comp[0])) for comp in components] == components
+    read("L")
+    read("R")
+
+
+def test_flagged_cuts_reports_joined_cuts():
+    f = SyncForest(6)
+    f.add_edges([(1, 4)])
+    f.recompress()
+    f.set_flag(4, "L")
+    assert f.flagged_cuts("L") == [1, 4]
+    assert f.joined["L"] == [1, 4]
+    f.set_flag(2, "L")
+    f.add_edges([(0, 2)])  # 0 joins with 2's flag
+    f.recompress()
+    assert f.flagged_cuts("L") == [0, 1, 2, 4]
+    assert f.joined["L"] == [0, 2]
+    assert f.flagged_cuts("L") == [0, 1, 2, 4]
+    assert f.joined["L"] == []
+
+
+def test_add_edges_out_of_range_buffers_nothing():
+    f = SyncForest(4)
+    f.add_edges([(0, 1)])
+    with pytest.raises(ValueError):
+        f.add_edges([(2, 3), (-1, 2)])
+    with pytest.raises(ValueError):
+        f.add_edges(iter([(2, 3), (4, 5)]))
+    with pytest.raises(ValueError):
+        f.add_edges([(2, 3), (4,)])
+    assert f.pending == [0, 1]
+    assert f.add_edges((e for e in [(1, 2), (3, 4)])) == 2
+    assert f.recompress() > 0
+    assert f.components() == [[0, 1, 2], [3, 4]]

@@ -15,11 +15,17 @@ from morphprim import (
 from morphprim.cli import trace_document
 from morphprim.engine import image_at, EngineState, expand_letter, find_violation
 
-from conftest import assert_counter_bounds, assert_fixed_point, assert_stable
+from conftest import (
+    assert_counter_bounds,
+    assert_fixed_point,
+    assert_stable,
+    first_violation_naive,
+)
 
 words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
 nonempty_words = st.text(alphabet="abcd", min_size=1, max_size=14).map(intern_word)
 oracle_words = st.text(alphabet="abcd", min_size=0, max_size=10).map(intern_word)
+wide_words = st.text(alphabet="abcdefg", min_size=0, max_size=24).map(intern_word)
 
 
 @given(nonempty_words)
@@ -79,27 +85,32 @@ def test_engine_violation_scan_matches_naive_alpha(w):
     # the cut snapshot it reads must match the forest, initially and after
     # every round
     state = EngineState(w)
-    idx = state.index
     while True:
         left = state.forest.flagged_cuts("L")
         right = state.forest.flagged_cuts("R")
         assert state.left_cuts == tuple(left)
         assert state.right_cuts == tuple(right)
         a = find_violation(state)
+        assert a == first_violation_naive(w, state)
         if a is None:
             break
-        # recompute the first violating stretch with the reference alpha
-        expected = None
-        for l in left:
-            if l >= w.n:
-                continue
-            r = min(c for c in right if c > l)
-            k = alpha_naive(w, idx, l, r)
-            if w.at(k) not in state.expanding:
-                expected = w.at(k)
-                break
-        assert a == expected
         expand_letter(state, a)
+
+
+@settings(max_examples=300)
+@given(wide_words, st.data())
+def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
+    # letters are expanded in any order, not only the scan's choice, so the
+    # cut where the scan resumes is lowered by arbitrary rounds; after every
+    # round the scan must still return the first violating stretch
+    state = EngineState(w)
+    while len(state.expanding) < w.alphabet_size:
+        expected = first_violation_naive(w, state)
+        assert find_violation(state) == expected
+        assert find_violation(state) == expected  # a repeated scan agrees
+        rest = sorted(set(range(w.alphabet_size)) - state.expanding)
+        expand_letter(state, data.draw(st.sampled_from(rest)))
+    assert find_violation(state) is None
 
 
 @given(words)
