@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import Iterable, Iterator
 
 import click
@@ -38,21 +39,26 @@ def parse_word(text: str, tokens: bool) -> Word:
     return intern_word(text.split() if tokens else list(text))
 
 
-def _lines(source) -> Iterator[str]:
-    """Lines of ``source`` without newlines, read one at a time.
+def _decoded(texts: Iterable[str]) -> Iterator[str]:
+    """``texts`` one at a time; malformed UTF-8 or a failed read exits 3.
 
-    Malformed UTF-8 is a read error.  Under a C or POSIX locale ``sys.stdin``
-    decodes with ``surrogateescape``, which turns each undecodable byte into
-    a lone surrogate; encoding a non-ASCII line back finds it.
+    ``sys.argv``, and ``sys.stdin`` under a C or POSIX locale, decode with
+    ``surrogateescape``, which turns each undecodable byte into a lone
+    surrogate; encoding a non-ASCII text back finds it.
     """
     try:
-        for line in source:
-            if not line.isascii():
-                line.encode("utf-8")
-            yield line.rstrip("\n")
+        for text in texts:
+            if not text.isascii():
+                text.encode("utf-8")
+            yield text
     except (OSError, UnicodeError) as exc:
         click.echo(f"error: cannot read input: {exc}", err=True)
         sys.exit(3)
+
+
+def _lines(source) -> Iterator[str]:
+    """Lines of ``source`` without newlines, read one at a time."""
+    return _decoded(line.rstrip("\n") for line in source)
 
 
 def _render(word: Word, letters: Iterable[int], tokens: bool) -> str:
@@ -126,7 +132,7 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
     # written directly, as click.echo costs several times more per line; the
     # flush keeps each verdict visible before the next word is read
     out = sys.stdout
-    for line in words or _lines(sys.stdin):
+    for line in _decoded(words) if words else _lines(sys.stdin):
         result = run(parse_word(line, tokens))
         out.write(f"{line}\t{'primitive' if result.primitive else 'imprimitive'}\n")
         out.flush()
@@ -138,7 +144,7 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
 @click.option("--json", "as_json", is_flag=True, help="Emit the final block as JSON.")
 def cmd_factorize(word: str, tokens: bool, as_json: bool):
     """Print the witness morphism and the factor segmentation."""
-    w = parse_word(word, tokens)
+    w = parse_word(next(_decoded((word,))), tokens)
     result = run(w)
     if as_json:
         click.echo(_dump(_final_block(w, result, tokens)))
@@ -156,7 +162,7 @@ def cmd_factorize(word: str, tokens: bool, as_json: bool):
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
 def cmd_trace(word: str, tokens: bool):
     """Print the full round-by-round trace as JSON."""
-    w = parse_word(word, tokens)
+    w = parse_word(next(_decoded((word,))), tokens)
     click.echo(_dump(trace_document(w, run(w), tokens)))
 
 
@@ -168,7 +174,7 @@ def cmd_trace(word: str, tokens: bool):
 @click.option("--force", is_flag=True, help="Ignore the size guard.")
 def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     """Brute-force verdict, minimal expanding-set size and one witness."""
-    w = parse_word(word, tokens)
+    w = parse_word(next(_decoded((word,))), tokens)
     try:
         res = min_expanding(w, max_len=max_len, force=force)
     except WordTooLongError as exc:
@@ -206,25 +212,13 @@ def cmd_gen(family, family_n, random_, length, alphabet, seed, count):
         raise click.UsageError("choose --family wn or --random")
 
 
-def _bench_rows(words: list[tuple[str, Word]]) -> list[tuple]:
-    rows = []
-    for surface, w in words:
-        start = time.perf_counter_ns()
-        result = run(w)
-        elapsed = time.perf_counter_ns() - start
-        c = result.counters
-        rows.append((
-            w.n,
-            w.alphabet_size,
-            len(result.expanding),
-            result.round_count,
-            c.scanned,
-            c.visits,
-            c.edges,
-            c.cells,
-            elapsed,
-        ))
-    return rows
+def _bench_row(w: Word) -> tuple:
+    start = time.perf_counter_ns()
+    result = run(w)
+    elapsed = time.perf_counter_ns() - start
+    c = result.counters
+    return (w.n, w.alphabet_size, len(result.expanding), result.round_count,
+            c.scanned, c.visits, c.edges, c.cells, elapsed)
 
 
 @cli.command("bench")
@@ -242,30 +236,30 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
     neighborhood computation (visits), synchronization edges added (edges)
     and cells touched by recompression (cells), summed over the run.
     """
-    words: list[tuple[str, Word]] = []
     if family == "wn":
         if n_max is None or n_max < 1:
             raise click.UsageError("--family wn requires --n-max >= 1")
-        for k in range(1, n_max + 1):
-            w = palindrome_pair_word(k)
-            words.append((w.render(), w))
+        source = nullcontext()
     elif path is not None:
-        if path == "-":
-            words = [(line, parse_word(line, tokens)) for line in _lines(sys.stdin)]
-        else:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    words = [(line, parse_word(line, tokens)) for line in _lines(fh)]
-            except OSError as exc:
-                click.echo(f"error: cannot open {path}: {exc}", err=True)
-                sys.exit(3)
+        try:
+            source = nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
+        except OSError as exc:
+            click.echo(f"error: cannot open {path}: {exc}", err=True)
+            sys.exit(3)
     else:
         raise click.UsageError("choose --family wn or --file")
 
-    header = ("n", "m", "expanding", "rounds", "scanned", "visits", "edges", "cells", "ns")
+    # each row is decided and printed as its word is read
     sep = "," if as_csv else "\t"
-    for row in [header, *_bench_rows(words)]:
-        click.echo(sep.join(str(v) for v in row))
+    header = ("n", "m", "expanding", "rounds", "scanned", "visits", "edges", "cells", "ns")
+    click.echo(sep.join(header))
+    with source as fh:
+        if fh is None:
+            words = map(palindrome_pair_word, range(1, n_max + 1))
+        else:
+            words = (parse_word(line, tokens) for line in _lines(fh))
+        for w in words:
+            click.echo(sep.join(map(str, _bench_row(w))))
 
 
 def main():

@@ -11,9 +11,10 @@ right cut moved) and touches each position it passes at most once (suffix
 minima per right-cut segment); neighborhood computation reads at most
 ``2n`` positions; fewer than ``2n`` synchronization edges are added; and
 recompression walks only the edges and the cuts whose root changed.  Each
-cut joins the left and the right cut list at most once per run, so beyond
-that the only per-round cost is a copy of the two lists for the round's
-record.
+cut joins the left and the right cut list at most once per run, and the
+engine reads the forest's two sorted lists in place, so no round copies
+them: a round's record keeps the lengths of the forest's join logs, from
+which its cut sets are rebuilt only when they are read.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from typing import NamedTuple
 
 from .forest import SyncForest
 from .words import Neighborhood, PosIndex, Word, build_index, neighborhood
@@ -43,19 +45,32 @@ class Morphism:
         return all(img == (a,) for a, img in enumerate(self.images))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What one round of the main loop did."""
+class RoundRecord(NamedTuple):
+    """What one round of the main loop did.
+
+    The L/R cuts after the round are the first ``left_size`` and
+    ``right_size`` cuts of the forest's join logs (``log``), which only
+    grow; ``left_cuts`` and ``right_cuts`` sort them when read.
+    """
 
     number: int
     letter: int
     neighborhood: Neighborhood
-    left_cuts: tuple[int, ...]
-    right_cuts: tuple[int, ...]
     scanned: int
     visits: int
     edges: int
     cells: int
+    log: dict[str, list[int]]
+    left_size: int
+    right_size: int
+
+    @property
+    def left_cuts(self) -> tuple[int, ...]:
+        return tuple(sorted(self.log["L"][: self.left_size]))
+
+    @property
+    def right_cuts(self) -> tuple[int, ...]:
+        return tuple(sorted(self.log["R"][: self.right_size]))
 
 
 @dataclass
@@ -85,9 +100,10 @@ class EngineState:
         for side in ("L", "R"):
             forest.set_flag(0, side)
             forest.set_flag(n, side)
-        # the flagged L/R cuts, re-read once per round after recompression
-        self.left_cuts = tuple(forest.flagged_cuts("L"))
-        self.right_cuts = tuple(forest.flagged_cuts("R"))
+        # the forest's live sorted L/R lists, brought up to date once per
+        # round after recompression
+        self.left_cuts = forest.flagged_cuts("L")
+        self.right_cuts = forest.flagged_cuts("R")
         # no left cut below this cut violates the minimal-frequency condition
         self.scan_from = 0
         # seg_best[i]: leftmost least-frequent index from i to the end of the
@@ -187,40 +203,30 @@ def expand_letter(state: EngineState, a: int) -> None:
         (first + m, k + m) for k in islice(occ, 1, None) for m in range(lo, hi)
     )
     cells = forest.recompress()
-    old_right = state.right_cuts
-    state.left_cuts = tuple(forest.flagged_cuts("L"))
-    state.right_cuts = tuple(forest.flagged_cuts("R"))
+    left, right = state.left_cuts, state.right_cuts
+    old_l, old_r = len(left), len(right)
+    forest.flagged_cuts("L")
+    forest.flagged_cuts("R")
 
     # rescan from the first left cut that is new or whose right cut may have
     # moved: the smallest new L cut, and the old R cut just below the
-    # smallest new R cut (every left cut above it may now stop earlier)
-    new_l, new_r = forest.joined["L"], forest.joined["R"]
-    scan_from = state.scan_from
-    if new_l and new_l[0] < scan_from:
-        scan_from = new_l[0]
-    if new_r:
-        below = old_right[bisect_left(old_right, new_r[0]) - 1]
-        if below < scan_from:
-            scan_from = below
-    state.scan_from = scan_from
+    # smallest new R cut (every left cut above it may now stop earlier; no
+    # new R cut lies below it)
+    log = forest.log
+    if len(left) > old_l:
+        state.scan_from = min(state.scan_from, min(log["L"][old_l:]))
+    if len(right) > old_r:
+        below = right[bisect_left(right, min(log["R"][old_r:])) - 1]
+        state.scan_from = min(state.scan_from, below)
 
     state.expanding.add(a)
     state.counters.visits += nb.visited
     state.counters.edges += edges
     state.counters.cells += cells
-    state.rounds.append(
-        RoundRecord(
-            number=len(state.rounds) + 1,
-            letter=a,
-            neighborhood=nb,
-            left_cuts=state.left_cuts,
-            right_cuts=state.right_cuts,
-            scanned=state.last_scan,
-            visits=nb.visited,
-            edges=edges,
-            cells=cells,
-        )
-    )
+    state.rounds.append(RoundRecord(
+        len(state.rounds) + 1, a, nb, state.last_scan, nb.visited, edges, cells,
+        log, len(left), len(right),
+    ))
 
 
 def image(state: EngineState, a: int) -> tuple[int, ...]:
@@ -239,7 +245,7 @@ def image(state: EngineState, a: int) -> tuple[int, ...]:
 def image_at(state: EngineState, a: int, k: int) -> tuple[int, ...]:
     """Image of expanding letter ``a`` anchored at occurrence position ``k``.
 
-    Read off the round's cut tuples: the image starts after the largest
+    Read off the current cut lists: the image starts after the largest
     right cut below ``k`` and ends at the largest right cut at or before
     the first left cut at or after ``k``.
     """
@@ -310,8 +316,8 @@ def run(word: Word) -> FactorizationResult:
         morphism=morphism,
         primitive=len(state.expanding) == word.alphabet_size,
         rounds=tuple(state.rounds),
-        left_cuts=state.left_cuts,
-        right_cuts=state.right_cuts,
+        left_cuts=tuple(state.left_cuts),
+        right_cuts=tuple(state.right_cuts),
         factor_cuts=factor_cuts,
         counters=state.counters,
     )

@@ -5,9 +5,12 @@ one: every cut points directly at its root, the smallest cut of its
 component, so membership queries are O(1).  Each component also threads its
 members on a circular list (``next``).  Each root carries two flags
 recording whether the cuts of its component belong to the left-cut set and
-the right-cut set, and each side keeps its flagged cuts as a sorted list.
-A component's members join that list only when the component gains the
-flag, so every cut joins each side at most once per run.
+the right-cut set.  A component's members join a side only when the
+component gains the flag, so every cut joins each side at most once per
+run.  Each side appends its cuts to a join log (``log``) in the order they
+join, and keeps one sorted list of them that takes in the log's new tail
+when it is read.  Sorted, a prefix of the log is the side as it stood when
+the log had that length, so no earlier state needs a copy.
 
 New edges are buffered and merged in place at the next recompression:
 union-find with path halving and linking by smallest root, then a walk over
@@ -36,12 +39,10 @@ class SyncForest:
         self.next = self.parent[:]
         # per-root flags by side; any other side is a KeyError
         self._flags = {"L": bytearray(n + 1), "R": bytearray(n + 1)}
-        # per side: the flagged cuts ascending, as of the last flagged_cuts
-        # call, and the cuts that joined the side since then, unordered
+        # per side: every flagged cut once, in the order it joined, and the
+        # log's first len(_cuts[side]) cuts ascending
+        self.log: dict[str, list[int]] = {"L": [], "R": []}
         self._cuts: dict[str, list[int]] = {"L": [], "R": []}
-        self._joining: dict[str, list[int]] = {"L": [], "R": []}
-        # per side: the cuts the last flagged_cuts call added, ascending
-        self.joined: dict[str, list[int]] = {"L": [], "R": []}
         # buffered edges, flat: u0, v0, u1, v1, ...
         self.pending: list[int] = []
 
@@ -49,13 +50,13 @@ class SyncForest:
         if not 0 <= c <= self.n:
             raise ValueError(f"cut {c} out of range 0..{self.n}")
 
-    def _join(self, root: int, joining: list[int]) -> None:
-        """Append the members of the component of ``root`` to ``joining``."""
+    def _join(self, root: int, log: list[int]) -> None:
+        """Append the members of the component of ``root`` to ``log``."""
         nxt = self.next
-        joining.append(root)
+        log.append(root)
         c = nxt[root]
         while c != root:
-            joining.append(c)
+            log.append(c)
             c = nxt[c]
 
     def find(self, c: int) -> int:
@@ -77,11 +78,11 @@ class SyncForest:
         root = self.parent[c]
         if not flags[root]:
             flags[root] = 1
-            joining, nxt = self._joining[side], self.next
-            joining.append(root)
+            log, nxt = self.log[side], self.next
+            log.append(root)
             c = nxt[root]
             while c != root:
-                joining.append(c)
+                log.append(c)
                 c = nxt[c]
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> int:
@@ -133,7 +134,7 @@ class SyncForest:
             return 0
         parent, nxt = self.parent, self.next
         flag_l, flag_r = self._flags["L"], self._flags["R"]
-        joining_l, joining_r = self._joining["L"], self._joining["R"]
+        log_l, log_r = self.log["L"], self.log["R"]
         hops = 0
         # per link, flat: the root linked away, its old successor, the root
         # it was linked under
@@ -154,10 +155,10 @@ class SyncForest:
                 u, v = v, u
             parent[v] = u
             if flag_l[u] != flag_l[v]:
-                self._join(v if flag_l[u] else u, joining_l)
+                self._join(v if flag_l[u] else u, log_l)
                 flag_l[u] = 1
             if flag_r[u] != flag_r[v]:
-                self._join(v if flag_r[u] else u, joining_r)
+                self._join(v if flag_r[u] else u, log_r)
                 flag_r[u] = 1
             flag_l[v] = flag_r[v] = 0
             links.append(v)
@@ -183,18 +184,17 @@ class SyncForest:
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts whose component carries the flag, ascending.
 
-        Also sets ``joined[side]`` to the cuts that joined the side since
-        the previous call, ascending.
+        Returns the side's live sorted list, the same object on every call:
+        later calls update it in place, and callers must not change it.
+        The cuts that joined since the previous call are the ones past that
+        call's length in ``log[side]``.
         """
-        cuts = self._cuts[side]
-        joining = self._joining[side]
-        if joining:
-            joining.sort()
-            cuts += joining
+        cuts, log = self._cuts[side], self.log[side]
+        if len(log) > len(cuts):
+            # two sorted runs, which the sort merges in one pass
+            cuts += sorted(log[len(cuts):])
             cuts.sort()
-            self._joining[side] = []
-        self.joined[side] = joining
-        return cuts[:]
+        return cuts
 
     def components(self) -> list[list[int]]:
         """Current components as sorted cut lists (for tests and traces)."""

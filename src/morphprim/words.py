@@ -10,7 +10,7 @@ word of length ``n`` has cuts ``0 .. n``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def build_index(w: Word) -> PosIndex:
     return PosIndex(count=tuple(map(len, occ)), pos=tuple(map(tuple, occ)))
 
 
-@dataclass(frozen=True)
-class Neighborhood:
+class Neighborhood(NamedTuple):
     """Maximal common context of all occurrences of one letter.
 
     ``left_len`` and ``right_len`` are the lengths of the longest extensions

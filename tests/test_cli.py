@@ -105,6 +105,17 @@ class TestCheck:
         assert res.output.splitlines()[0] == "abaaba\timprimitive"
 
 
+# every command that takes words as arguments, given one with an
+# undecodable byte, which sys.argv decodes to a lone surrogate
+@pytest.mark.parametrize("env", STDIN_ENVS)
+@pytest.mark.parametrize("command", ["check", "factorize", "trace", "oracle"])
+def test_malformed_utf8_argument_exit_code(command, env):
+    res = run_cli([command, b"ab\xffa"], b"", env)
+    assert res.returncode == 3
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"error: cannot read input: ")
+
+
 class TestFactorize:
     def test_example_word_text(self):
         res = invoke("factorize", EXAMPLE_WORD)
@@ -267,6 +278,16 @@ class TestBench:
         res = run_cli(["bench", "--file", "-"], b"ab\xffa\n", env)
         assert res.returncode == 3
         assert b"cannot read input" in res.stderr
+
+    def test_stdin_is_read_lazily(self):
+        # the header and the first word's row are printed before the failing
+        # second read
+        res = invoke("bench", "--file", "-", "--csv", input=FailingAfter(b"abaaba\n"))
+        assert res.exit_code == 3
+        lines = res.output.splitlines()
+        assert lines[0] == "n,m,expanding,rounds,scanned,visits,edges,cells,ns"
+        assert lines[1].split(",")[:4] == ["6", "2", "1", "1"]
+        assert "cannot read input: device gone" in lines[2]
 
     def test_malformed_utf8_file_exit_code(self, tmp_path):
         path = tmp_path / "words.txt"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from morphprim import (
@@ -16,6 +18,7 @@ from morphprim import (
     verify,
 )
 from morphprim.engine import image_at
+from morphprim.oracle import all_words
 
 from conftest import (
     EXAMPLE_WORD,
@@ -315,3 +318,35 @@ def test_wn_work_gate():
     r = run(palindrome_pair_word(64))
     assert r.counters.scanned <= 4_800
     assert r.counters.cells <= 5_000
+
+
+def test_round_records_replay_the_cut_lists_of_each_round():
+    # a round's record rebuilds its cuts from the forest's join logs; they
+    # must equal the live lists the engine read right after that round
+    words = list(all_words(7, 4))
+    words += [palindrome_pair_word(k) for k in range(1, 33)]
+    words += [random_word(n, a, seed) for n, a, seed in [(50, 2, 0), (400, 3, 1), (2000, 5, 2)]]
+    for w in words:
+        state = EngineState(w)
+        seen = []
+        while (a := find_violation(state)) is not None:
+            expand_letter(state, a)
+            seen.append((tuple(state.left_cuts), tuple(state.right_cuts)))
+        assert [(r.left_cuts, r.right_cuts) for r in run(w).rounds] == seen
+
+
+def peak_alloc(w) -> int:
+    tracemalloc.start()
+    try:
+        run(w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rounds_hold_no_copies_of_the_cut_lists():
+    # wn has one round per letter and about n cuts per side, so a copy of
+    # the cut lists per round would make the peak grow like n^2 (16x from
+    # k = 256 to k = 1024); without copies it grows about linearly
+    small, large = palindrome_pair_word(256), palindrome_pair_word(1024)
+    assert peak_alloc(large) <= 6 * peak_alloc(small)

@@ -100,7 +100,7 @@ def test_add_edges_out_of_range():
 def test_recompress_no_pending_is_noop():
     f = SyncForest(5)
     f.set_flag(2, "L")
-    before = (list(f.parent), f.flagged_cuts("L"), f.flagged_cuts("R"))
+    before = (list(f.parent), list(f.flagged_cuts("L")), list(f.flagged_cuts("R")))
     assert f.recompress() == 0
     assert (list(f.parent), f.flagged_cuts("L"), f.flagged_cuts("R")) == before
 
@@ -211,18 +211,19 @@ ops = st.lists(
 @given(st.integers(0, 12), ops)
 def test_incremental_lists_match_brute_force(n, steps):
     # flagged_cuts must equal a scan of the roots' flags, whatever order
-    # flags, merges and reads come in, and joined must hold exactly the cuts
-    # added since the previous read; the member cycles must partition the
-    # cuts exactly as components() does
+    # flags, merges and reads come in; the join log must hold each flagged
+    # cut exactly once, and flagged_cuts must return the same list object
+    # every time; the member cycles must partition the cuts exactly as
+    # components() does
     f = SyncForest(n)
-    seen = {"L": [], "R": []}
+    lists = {side: f.flagged_cuts(side) for side in "LR"}
 
     def read(side):
         flags = f._flags[side]
         cuts = f.flagged_cuts(side)
+        assert cuts is lists[side]
         assert cuts == [c for c in range(n + 1) if flags[f.parent[c]]]
-        assert f.joined[side] == sorted(set(cuts) - set(seen[side]))
-        seen[side] = cuts
+        assert sorted(f.log[side]) == cuts
 
     for step in steps:
         if step[0] == "flag":
@@ -239,19 +240,23 @@ def test_incremental_lists_match_brute_force(n, steps):
 
 
 def test_flagged_cuts_reports_joined_cuts():
+    # each joined cut is logged once, in join order; reads merge the log's
+    # new tail into one sorted list
     f = SyncForest(6)
+    cuts = f.flagged_cuts("L")
     f.add_edges([(1, 4)])
     f.recompress()
     f.set_flag(4, "L")
+    assert f.log["L"] == [1, 4]
     assert f.flagged_cuts("L") == [1, 4]
-    assert f.joined["L"] == [1, 4]
     f.set_flag(2, "L")
+    f.set_flag(4, "L")  # already flagged: joins nothing
     f.add_edges([(0, 2)])  # 0 joins with 2's flag
     f.recompress()
+    assert f.log["L"] == [1, 4, 2, 0]
     assert f.flagged_cuts("L") == [0, 1, 2, 4]
-    assert f.joined["L"] == [0, 2]
-    assert f.flagged_cuts("L") == [0, 1, 2, 4]
-    assert f.joined["L"] == []
+    assert f.flagged_cuts("L") is cuts
+    assert f.log["L"] == [1, 4, 2, 0] and f.log["R"] == []
 
 
 def test_add_edges_out_of_range_buffers_nothing():

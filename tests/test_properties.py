@@ -82,14 +82,12 @@ def test_run_agrees_with_oracle(w):
 @given(words)
 def test_engine_violation_scan_matches_naive_alpha(w):
     # every stretch the scan reports must be the naive alpha of its interval;
-    # the cut snapshot it reads must match the forest, initially and after
+    # the cut lists it reads must be the forest's own, initially and after
     # every round
     state = EngineState(w)
     while True:
-        left = state.forest.flagged_cuts("L")
-        right = state.forest.flagged_cuts("R")
-        assert state.left_cuts == tuple(left)
-        assert state.right_cuts == tuple(right)
+        assert state.left_cuts is state.forest.flagged_cuts("L")
+        assert state.right_cuts is state.forest.flagged_cuts("R")
         a = find_violation(state)
         assert a == first_violation_naive(w, state)
         if a is None:
