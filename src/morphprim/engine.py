@@ -7,22 +7,32 @@ word is morphically primitive iff ``E`` ends up being the whole alphabet.
 
 A round costs what it changes.  The violation scan resumes at the lowest
 left cut a round may have changed (its new left cuts, or the old ones whose
-right cut moved) and touches each position it passes at most once (suffix
-minima per right-cut segment); neighborhood computation reads at most
-``2n`` positions; fewer than ``2n`` synchronization edges are added; and
-recompression walks only the edges and the cuts whose root changed.  Each
-cut joins the left and the right cut list at most once per run, and the
-engine reads the forest's two sorted lists in place, so no round copies
-them: a round's record keeps the lengths of the forest's join logs, from
-which its cut sets are rebuilt only when they are read.
+right cut moved) and reads each position it passes at most once: a
+right-cut segment is either scanned by suffix minima, or, when it is long
+and holds few left cuts, answered by range-minimum queries over the
+letters' fixed frequencies, one sorted occurrence list per distinct
+frequency.  Neighborhood computation reads at most ``2n`` positions; fewer
+than ``2n`` synchronization edges are added; and recompression walks only
+the edges and the cuts whose root changed.  Each cut joins the left and the
+right cut list at most once per run, and the engine reads the forest's two
+sorted lists in place, so no round copies them: a round's record keeps the
+lengths of the forest's join logs, from which its cut sets are rebuilt only
+when they are read.
+
+``scanned`` counts the positions read by suffix scans, plus one per
+occurrence list a query probes and one per letter a query reads.  A query
+reads at most ``d + 1``, with ``d`` the number of distinct frequencies, and
+a segment is queried only when that many per left cut in it is less than
+its length, so a scan still reads at most ``n`` per call.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import NamedTuple
+from itertools import accumulate, chain, islice
+from typing import NamedTuple, Sequence
 
 from .forest import SyncForest
 from .words import Neighborhood, PosIndex, Word, build_index, neighborhood
@@ -109,10 +119,48 @@ class EngineState:
         # seg_best[i]: leftmost least-frequent index from i to the end of the
         # segment last scanned (0-based); kept to spare an allocation per scan
         self.seg_best = [0] * n
+        # sorted occurrence positions per distinct frequency, least frequent
+        # first (see frequency_classes); built at the first query
+        self.classes: list[Sequence[int]] | None = None
+        # the most a query reads: one probe per class, then its letter
+        self.query_cost = len(set(self.index.count)) + 1
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.rounds: list[RoundRecord] = []
         self.counters = Counters()
         self.last_scan = 0
+
+
+def frequency_classes(index: PosIndex) -> list[Sequence[int]]:
+    """Sorted occurrence positions of each distinct frequency, least first.
+
+    A letter alone in its class keeps its own tuple of positions; the
+    positions of several letters with the same frequency are merged into
+    one array of 32-bit positions, half the size of a list of them.
+    """
+    groups: dict[int, list[int]] = {}
+    for a, count in enumerate(index.count):
+        groups.setdefault(count, []).append(a)
+    pos = index.pos
+    return [
+        pos[g[0]] if len(g) == 1
+        else array("I", sorted(chain.from_iterable(map(pos.__getitem__, g))))
+        for _, g in sorted(groups.items())
+    ]
+
+
+def alpha_query(classes: list[Sequence[int]], i: int, j: int) -> tuple[int, int]:
+    """Leftmost position in ``(i, j]`` of a least-frequent letter, and the
+    number of classes probed.
+
+    It is the first position after ``i`` in the least frequent class (of
+    ``frequency_classes``) that has one in ``(i, j]``.  Same answer as
+    ``alpha_naive``.
+    """
+    for probes, occ in enumerate(classes, start=1):
+        k = bisect_right(occ, i)
+        if k < len(occ) and occ[k] <= j:
+            return occ[k], probes
+    raise ValueError(f"no position in ({i}, {j}]")
 
 
 def find_violation(state: EngineState) -> int | None:
@@ -128,10 +176,17 @@ def find_violation(state: EngineState) -> int | None:
     checked by an earlier call and kept their right cut since, so the
     letter returned is the one a scan from cut 0 would return.
 
-    Per-segment suffix minima, taken from the segment's end down to its
-    first left cut, make the scan touch each position at most once, so one
-    call reads at most ``n`` positions.  Sets ``state.scan_from`` to the
-    violating left cut, or past ``n`` if there is none.
+    Each segment between a left cut ``l`` and the next right cut ``r``,
+    holding ``q`` left cuts, is read one of two ways.  If ``(d + 1) * q <
+    r - l`` (``d`` distinct frequencies), each of its left cuts gets an
+    ``alpha_query``, counted as the lists it probes plus the letter it
+    reads, at most ``d + 1``; otherwise suffix minima, taken from ``r``
+    down to ``l``, read its ``r - l`` positions once.  Segments do not
+    overlap, so one call reads at most ``n`` (``state.last_scan``).
+    Before any letter expands, the one segment is the whole word and is
+    scanned, so the classes are built only for a word that needs a second
+    round's queries.  Sets ``state.scan_from`` to the violating left cut,
+    or past ``n`` if there is none.
     """
     letters = state.word.letters
     n = len(letters)
@@ -139,30 +194,53 @@ def find_violation(state: EngineState) -> int | None:
     expanding = state.expanding
     left, right = state.left_cuts, state.right_cuts
     seg_best = state.seg_best
+    classes, cost = state.classes, state.query_cost
     scanned = 0
-    ri = bisect_right(right, state.scan_from)
-    seg_hi = -1
     violator = None
     stop = n + 1
-    for l in islice(left, bisect_left(left, state.scan_from), None):
-        if l >= n:
-            break
-        while right[ri] <= l:
+    # n is always the last left cut, and scan_from may lie past it; right[0]
+    # is 0, so the right cut after any left cut lies past index ri = 0
+    ri, r, query = 0, -1, False
+    for li in range(bisect_left(left, state.scan_from), len(left) - 1):
+        l = left[li]
+        if l >= r:
+            # step to the first right cut past l: one by one over a short
+            # gap (at most l - r + 1 steps), by bisection over a long one
             ri += 1
-        r = right[ri]
-        if r != seg_hi:
-            # suffix argmin over indices l..r-1 (positions l+1..r); the
-            # right-to-left pass keeps ties at the leftmost index
-            arg = r - 1
-            least = freq[letters[arg]]
-            for i in range(r - 1, l - 1, -1):
-                f = freq[letters[i]]
-                if f <= least:
-                    arg, least = i, f
-                seg_best[i] = arg
-            scanned += r - l
-            seg_hi = r
-        a = letters[seg_best[l]]
+            if right[ri] <= l:
+                if l - r < 8:
+                    while right[ri] <= l:
+                        ri += 1
+                else:
+                    ri = bisect_right(right, l, ri)
+            r = right[ri]
+            # queries pay when (d + 1) * q < r - l; q >= 1, so the left cuts
+            # are counted only in a segment longer than one query's cost
+            query = (
+                r - l > cost
+                and expanding
+                and cost * (bisect_left(left, r, li) - li) < r - l
+            )
+            if query:
+                if classes is None:
+                    classes = state.classes = frequency_classes(state.index)
+            else:
+                # suffix argmin over indices l..r-1 (positions l+1..r); the
+                # right-to-left pass keeps ties at the leftmost index
+                arg = r - 1
+                least = freq[letters[arg]]
+                for i in range(r - 1, l - 1, -1):
+                    f = freq[letters[i]]
+                    if f <= least:
+                        arg, least = i, f
+                    seg_best[i] = arg
+                scanned += r - l
+        if query:
+            p, probes = alpha_query(classes, l, r)
+            scanned += probes + 1
+            a = letters[p - 1]
+        else:
+            a = letters[seg_best[l]]
         if a not in expanding:
             violator, stop = a, l
             break

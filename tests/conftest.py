@@ -76,14 +76,19 @@ def assert_fixed_point(w: Word, result: FactorizationResult) -> None:
 def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     """Per-round and whole-run work bounds.
 
-    Per round: the violation scan reads each position at most once (<= n;
-    it resumes where the last round's changes begin, so it often reads
-    far fewer), neighborhood computation reads at most 2n positions, fewer
-    than 2n synchronization edges are added, and recompression touches at
-    most 8n + 2 cells.  A cell is one root-search hop or one cut pointed at
-    a new root (at most n of those); with linking by index and path halving
-    the hops are not linear in the worst case, so this bound is a measured
-    one, not a proven one (see ``SyncForest.recompress``).
+    Per round: the violation scan reads at most n (it resumes where the
+    last round's changes begin, so it often reads far fewer).  Its count is
+    positions read by suffix scans plus, per range-minimum query, one per
+    occurrence list probed and one for the letter read; a query reads at
+    most d + 1 (d distinct frequencies), and a segment holding q left cuts
+    is queried only when (d + 1) * q is less than its length, so no segment
+    costs more than its length.  Neighborhood computation reads at most 2n
+    positions, fewer than 2n synchronization edges are added, and
+    recompression touches at most 8n + 2 cells.  A cell is one root-search
+    hop or one cut pointed at a new root (at most n of those); with linking
+    by index and path halving the hops are not linear in the worst case,
+    so this bound is a measured one, not a proven one (see
+    ``SyncForest.recompress``).
     """
     n = w.n
     e = len(result.expanding)

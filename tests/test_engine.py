@@ -7,6 +7,8 @@ import pytest
 from morphprim import (
     EngineState,
     Morphism,
+    alpha_naive,
+    build_index,
     expand_letter,
     find_violation,
     image,
@@ -17,7 +19,7 @@ from morphprim import (
     run,
     verify,
 )
-from morphprim.engine import image_at
+from morphprim.engine import alpha_query, frequency_classes, image_at
 from morphprim.oracle import all_words
 
 from conftest import (
@@ -318,6 +320,71 @@ def test_wn_work_gate():
     r = run(palindrome_pair_word(64))
     assert r.counters.scanned <= 4_800
     assert r.counters.cells <= 5_000
+
+
+def test_wn_scan_reads_linear_work():
+    # range-minimum queries answer wn's long segments, so the run reads
+    # about 3n in all, where suffix scans alone read about n^2 / 4
+    w = palindrome_pair_word(1024)
+    assert run(w).counters.scanned <= 4 * w.n
+
+
+def drive(text):
+    state = EngineState(intern_word(text))
+    while (a := find_violation(state)) is not None:
+        expand_letter(state, a)
+    return state
+
+
+class TestFrequencyClasses:
+    def assert_queries_match_naive(self, w):
+        # every interval (i, j] against alpha_naive; a query probes at most
+        # one occurrence list per distinct frequency
+        idx = build_index(w)
+        classes = frequency_classes(idx)
+        assert len(classes) == len(set(idx.count))
+        for i in range(w.n):
+            for j in range(i + 1, w.n + 1):
+                p, probes = alpha_query(classes, i, j)
+                assert p == alpha_naive(w, idx, i, j)
+                assert 1 <= probes <= len(classes)
+        return idx, classes
+
+    def test_all_frequencies_equal(self):
+        # wn: one class holding every position, so the first probe hits
+        w = palindrome_pair_word(12)
+        _, classes = self.assert_queries_match_naive(w)
+        assert list(classes[0]) == list(range(1, w.n + 1))
+        assert all(alpha_query(classes, i, w.n) == (i + 1, 1) for i in range(w.n))
+
+    def test_single_letter(self):
+        idx, classes = self.assert_queries_match_naive(intern_word("aaaaa"))
+        assert len(classes) == 1 and classes[0] is idx.pos[0]
+
+    def test_distinct_frequencies_keep_each_letters_positions(self):
+        # d = m: a once, b twice, c three and d four times; every class is
+        # its letter's own position tuple, least frequent first
+        w = intern_word("dcbdcdbadc")
+        idx, classes = self.assert_queries_match_naive(w)
+        order = [w.symbols.index(s) for s in "abcd"]
+        assert all(c is idx.pos[a] for c, a in zip(classes, order, strict=True))
+
+    def test_tied_letters_share_one_sorted_class(self):
+        w = intern_word("abcbaacdd")  # a 3, b 2, c 2, d 2
+        idx, classes = self.assert_queries_match_naive(w)
+        assert [list(c) for c in classes] == [[2, 3, 4, 7, 8, 9], [1, 5, 6]]
+
+    def test_classes_are_built_only_for_queries(self):
+        # a word stable after round one, over two scans, builds nothing
+        state = drive("abcb" * 50)
+        assert len(state.rounds) == 1 and state.classes is None
+        # the first scan of any word reads its one segment, the whole word
+        state = EngineState(palindrome_pair_word(64))
+        find_violation(state)
+        assert state.classes is None
+        # a long segment with one left cut after round one is queried
+        state = drive("ab" * 100 + "c")
+        assert state.classes is not None
 
 
 def test_round_records_replay_the_cut_lists_of_each_round():

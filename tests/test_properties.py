@@ -12,8 +12,15 @@ from morphprim import (
     run,
     verify,
 )
-from morphprim.cli import trace_document
-from morphprim.engine import image_at, EngineState, expand_letter, find_violation
+from morphprim.cli import parse_word, trace_document
+from morphprim.engine import (
+    EngineState,
+    alpha_query,
+    expand_letter,
+    find_violation,
+    frequency_classes,
+    image_at,
+)
 
 from conftest import (
     assert_counter_bounds,
@@ -26,6 +33,22 @@ words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
 nonempty_words = st.text(alphabet="abcd", min_size=1, max_size=14).map(intern_word)
 oracle_words = st.text(alphabet="abcd", min_size=0, max_size=10).map(intern_word)
 wide_words = st.text(alphabet="abcdefg", min_size=0, max_size=24).map(intern_word)
+
+
+@st.composite
+def tied_token_words(draw):
+    """Words over up to 30 tokens of one to three characters, as ``--tokens``.
+
+    Each token occurs one to three times, so letters often tie in frequency.
+    """
+    k = draw(st.integers(1, 30))
+    tokens = draw(st.lists(
+        st.text(alphabet="abé東x1", min_size=1, max_size=3),
+        min_size=k, max_size=k, unique=True,
+    ))
+    counts = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    letters = draw(st.permutations([t for t, c in zip(tokens, counts) for _ in range(c)]))
+    return parse_word(" ".join(letters), tokens=True)
 
 
 @given(nonempty_words)
@@ -77,6 +100,31 @@ def test_run_agrees_with_oracle(w):
     assert result.primitive == (not oracle.proper)
     assert len(result.expanding) == oracle.size
     assert verify(w, oracle.morphism(w))
+
+
+@given(tied_token_words(), st.data())
+def test_alpha_query_matches_naive_alpha(w, data):
+    idx = build_index(w)
+    classes = frequency_classes(idx)
+    i = data.draw(st.integers(0, w.n - 1))
+    j = data.draw(st.integers(i + 1, w.n))
+    p, probes = alpha_query(classes, i, j)
+    assert p == alpha_naive(w, idx, i, j)
+    assert 1 <= probes <= len(set(idx.count))
+
+
+@given(tied_token_words())
+def test_scan_with_queries_matches_naive_alpha(w):
+    # the scan picks queries or suffix minima per segment; either way every
+    # round's letter is the naive first violation, and a call reads at most n
+    state = EngineState(w)
+    while True:
+        a = find_violation(state)
+        assert a == first_violation_naive(w, state)
+        assert state.last_scan <= w.n
+        if a is None:
+            break
+        expand_letter(state, a)
 
 
 @given(words)
