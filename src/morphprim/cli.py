@@ -190,17 +190,21 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
 @cli.command("gen")
 @click.option("--family", type=click.Choice(["wn"]), default=None,
               help="Named family (wn: k distinct letters mirrored).")
-@click.option("--n", "family_n", type=int, default=None, help="Family parameter k (>= 1).")
+@click.option("--n", "family_n", type=click.IntRange(min=1), default=None,
+              help="Family parameter k.")
 @click.option("--random", "random_", is_flag=True, help="Uniform random word.")
-@click.option("--len", "length", type=int, default=None, help="Random word length.")
-@click.option("--alphabet", type=int, default=None, help="Random alphabet size.")
+@click.option("--len", "length", type=click.IntRange(min=0), default=None,
+              help="Random word length.")
+@click.option("--alphabet", type=click.IntRange(min=1), default=None,
+              help="Random alphabet size.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Random seed.")
-@click.option("--count", type=int, default=1, show_default=True, help="Words to emit.")
+@click.option("--count", type=click.IntRange(min=0), default=1, show_default=True,
+              help="Words to emit.")
 def cmd_gen(family, family_n, random_, length, alphabet, seed, count):
     """Generate words, one per line."""
     if family == "wn":
-        if family_n is None or family_n < 1:
-            raise click.UsageError("--family wn requires --n >= 1")
+        if family_n is None:
+            raise click.UsageError("--family wn requires --n")
         for _ in range(count):
             click.echo(palindrome_pair_word(family_n).render())
     elif random_:
@@ -224,7 +228,8 @@ def _bench_row(w: Word) -> tuple:
 @cli.command("bench")
 @click.option("--family", type=click.Choice(["wn"]), default=None,
               help="Benchmark the wn family for k = 1 .. --n-max.")
-@click.option("--n-max", type=int, default=None, help="Largest family parameter.")
+@click.option("--n-max", type=click.IntRange(min=1), default=None,
+              help="Largest family parameter.")
 @click.option("--file", "path", type=str, default=None,
               help="Read words from a file ('-' for stdin).")
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
@@ -237,8 +242,8 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
     and cells touched by recompression (cells), summed over the run.
     """
     if family == "wn":
-        if n_max is None or n_max < 1:
-            raise click.UsageError("--family wn requires --n-max >= 1")
+        if n_max is None:
+            raise click.UsageError("--family wn requires --n-max")
         source = nullcontext()
     elif path is not None:
         try:

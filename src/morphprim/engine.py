@@ -31,7 +31,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 from .forest import SyncForest
@@ -253,9 +253,12 @@ def find_violation(state: EngineState) -> int | None:
 def expand_letter(state: EngineState, a: int) -> None:
     """Add letter ``a`` to the expanding set and propagate cut flags.
 
-    Every occurrence contributes its delimiting cuts to L/R, its
-    neighborhood borders to the opposite sides, and star edges anchored at
-    the first occurrence that keep all neighborhoods of ``a`` synchronized.
+    Each occurrence ``k`` delimits its cuts ``k - 1`` and ``k + right_len``
+    as left cuts and ``k`` and ``k - left_len - 1`` as right cuts.  One
+    star of edges ties the cut ``k + m`` of every occurrence to ``first +
+    m``, for every offset ``m`` from ``-left_len - 1`` to ``right_len``,
+    which holds all four; so once the star is merged, flagging the first
+    occurrence's four cuts flags every occurrence's.
     """
     if a in state.expanding:
         raise ValueError(f"letter {a} is already expanding")
@@ -269,18 +272,13 @@ def expand_letter(state: EngineState, a: int) -> None:
         state.neighborhoods[a] = nb
     forest = state.forest
 
-    for k in occ:
-        forest.set_flag(k - 1, "L")
-        forest.set_flag(k, "R")
-        forest.set_flag(k + nb.right_len, "L")
-        forest.set_flag(k - nb.left_len - 1, "R")
-
-    first = occ[0]
-    lo, hi = -nb.left_len - 1, nb.right_len + 1
-    edges = forest.add_edges(
-        (first + m, k + m) for k in islice(occ, 1, None) for m in range(lo, hi)
-    )
+    edges = forest.add_star(occ, -nb.left_len - 1, nb.right_len + 1)
     cells = forest.recompress()
+    first = occ[0]
+    forest.set_flag(first - 1, "L")
+    forest.set_flag(first, "R")
+    forest.set_flag(first + nb.right_len, "L")
+    forest.set_flag(first - nb.left_len - 1, "R")
     left, right = state.left_cuts, state.right_cuts
     old_l, old_r = len(left), len(right)
     forest.flagged_cuts("L")

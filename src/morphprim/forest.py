@@ -12,18 +12,20 @@ join, and keeps one sorted list of them that takes in the log's new tail
 when it is read.  Sorted, a prefix of the log is the side as it stood when
 the log had that length, so no earlier state needs a copy.
 
-New edges are buffered and merged in place at the next recompression:
-union-find with path halving and linking by smallest root, then a walk over
-the members of each component that was linked away, which points them at
-their new root and restores height one.  The work of a recompression is
-proportional to the edges and the cuts whose root changed, not to ``n``.
+New edges are buffered as stars, each tying the cuts around every
+occurrence of a letter to the same cuts around its first occurrence, and
+merged in place at the next recompression: union-find with path halving and
+linking by smallest root, then a walk over the members of each component
+that was linked away, which points them at their new root and restores
+height one.  The work of a recompression is proportional to the edges and
+the cuts whose root changed, not to ``n``.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from itertools import chain
-from typing import Iterable, Literal
+from itertools import chain, islice
+from typing import Literal, Sequence
 
 Side = Literal["L", "R"]
 
@@ -50,8 +52,8 @@ class SyncForest:
         # log's first len(_cuts[side]) cuts ascending
         self.log: dict[str, list[int]] = {"L": [], "R": []}
         self._cuts: dict[str, list[int]] = {"L": [], "R": []}
-        # buffered edges, flat: u0, v0, u1, v1, ...
-        self.pending: list[int] = []
+        # buffered stars: (occurrences, lo, hi), see add_star
+        self.pending: list[tuple[Sequence[int], int, int]] = []
 
     def _check(self, c: int) -> None:
         if not 0 <= c <= self.n:
@@ -66,60 +68,38 @@ class SyncForest:
             log.append(c)
             c = nxt[c]
 
-    def find(self, c: int) -> int:
-        """Root of the component of ``c`` (constant time at height one)."""
-        self._check(c)
-        return self.parent[c]
-
-    def has_flag(self, c: int, side: Side) -> bool:
-        self._check(c)
-        return bool(self._flags[side][self.parent[c]])
-
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
-        # called four times per occurrence each round, so the range check
-        # and the join are written out rather than called
         flags = self._flags[side]
-        if not 0 <= c <= self.n:
-            self._check(c)
+        self._check(c)
         root = self.parent[c]
         if not flags[root]:
             flags[root] = 1
-            log, nxt = self.log[side], self.next
-            log.append(root)
-            c = nxt[root]
-            while c != root:
-                log.append(c)
-                c = nxt[c]
+            self._join(root, self.log[side])
 
-    def add_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Buffer edges; components change only at the next recompress.
+    def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
+        """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
+        ``occ`` and every ``m`` in ``range(lo, hi)``; components change only
+        at the next recompress.
 
-        Returns the number of edges buffered.  An out-of-range cut, or an
-        odd number of ends, raises ``ValueError`` and buffers none of
-        ``edges``.
+        Returns the number of edges buffered.  A cut out of range raises
+        ``ValueError`` and buffers nothing.
         """
-        pending = self.pending
-        before = len(pending)
-        pending += chain.from_iterable(edges)
-        added = len(pending) - before
-        # the cuts buffered before are in range, so the extremes of the
-        # whole buffer tell whether a new one is not
-        if added and (added % 2 or min(pending) < 0 or max(pending) > self.n):
-            low, high = min(pending), max(pending)
-            del pending[before:]
-            self._check(low)
-            self._check(high)
-            raise ValueError("every edge needs two ends")
-        return added // 2
+        if len(occ) < 2 or hi <= lo:
+            return 0
+        self._check(min(occ) + lo)
+        self._check(max(occ) + hi - 1)
+        self.pending.append((occ, lo, hi))
+        return (len(occ) - 1) * (hi - lo)
 
     def recompress(self) -> int:
-        """Merge buffered edges in place and restore height one.
+        """Merge buffered stars in place and restore height one.
 
         The new components are the connected closure of the old components
-        plus the pending edges.  For each edge both roots are found with
-        path halving; the larger root is linked under the smaller one,
-        which takes over its flags, and their member lists are spliced.
+        plus the edges of the pending stars, taken occurrence by occurrence
+        and, within one, by increasing offset.  For each edge both roots are
+        found with path halving; the larger root is linked under the smaller
+        one, which takes over its flags, and their member lists are spliced.
         If exactly one of the two carried a side's flag, the members of the
         other join that side.  The members a root brings along stay in one
         run of the spliced list, from its old successor up to the root
@@ -146,8 +126,12 @@ class SyncForest:
         # per link, flat: the root linked away, its old successor, the root
         # it was linked under
         links: list[int] = []
-        ends = iter(pending)
-        for u, v in zip(ends, ends):
+        edges = (
+            zip(range(occ[0] + lo, occ[0] + hi), range(k + lo, k + hi))
+            for occ, lo, hi in pending
+            for k in islice(occ, 1, None)
+        )
+        for u, v in chain.from_iterable(edges):
             while parent[u] != u:
                 parent[u] = parent[parent[u]]
                 u = parent[u]
@@ -158,6 +142,9 @@ class SyncForest:
                 hops += 1
             if u == v:
                 continue
+            # the roots as the forest holds them, so no int made for an
+            # edge is kept in parent or links
+            u, v = parent[u], parent[v]
             if v < u:
                 u, v = v, u
             parent[v] = u
@@ -172,7 +159,8 @@ class SyncForest:
             links.append(nxt[v])
             links.append(u)
             nxt[u], nxt[v] = nxt[v], nxt[u]
-        self.pending = []
+        # emptied in place, so the stars are freed now, not at return
+        pending.clear()
         relabeled = 0
         # a root linked under a root that was itself linked away lies
         # inside the latter's run, so only runs under survivors are walked
@@ -206,10 +194,3 @@ class SyncForest:
             for c in log[len(cuts):]:
                 insort(cuts, c)
         return cuts
-
-    def components(self) -> list[list[int]]:
-        """Current components as sorted cut lists (for tests and traces)."""
-        groups: dict[int, list[int]] = {}
-        for c in range(self.n + 1):
-            groups.setdefault(self.parent[c], []).append(c)
-        return [groups[r] for r in sorted(groups)]

@@ -236,6 +236,21 @@ class TestGen:
         assert invoke("gen", "--family", "wn").exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--family", "wn", "--n", "0"],
+    ["gen", "--random", "--len", "-1", "--alphabet", "2"],
+    ["gen", "--random", "--len", "3", "--alphabet", "0"],
+    ["gen", "--random", "--len", "3", "--alphabet", "2", "--count", "-2"],
+    ["bench", "--family", "wn", "--n-max", "0"],
+], ids=["n", "len", "alphabet", "count", "n-max"])
+def test_number_out_of_range_exit_code(args):
+    res = run_cli(args, b"", {})
+    assert res.returncode == 1
+    assert b"Invalid value" in res.stderr
+    assert b"Traceback" not in res.stderr
+    assert res.stdout == b""
+
+
 class TestBench:
     def test_wn_family_csv(self):
         res = invoke("bench", "--family", "wn", "--n-max", "4", "--csv")

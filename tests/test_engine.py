@@ -271,15 +271,15 @@ class TestLeftRightCutCheck:
 
 def image_by_walk(state, k):
     """Reference readout: walk the forest's flags cut by cut from ``k``."""
-    forest = state.forest
+    parent, flags = state.forest.parent, state.forest._flags
     i = 0
-    while not forest.has_flag(k - i - 1, "R"):
+    while not flags["R"][parent[k - i - 1]]:
         i += 1
     best_j = j = 0
     while True:
-        if forest.has_flag(k + j, "R"):
+        if flags["R"][parent[k + j]]:
             best_j = j
-        if forest.has_flag(k + j, "L"):
+        if flags["L"][parent[k + j]]:
             break
         j += 1
     return state.word.segment(k - i, k + best_j)

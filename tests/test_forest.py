@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -9,60 +10,61 @@ from hypothesis import strategies as st
 from morphprim import SyncForest
 
 
+def components(f):
+    """Current components as sorted cut lists, smallest root first."""
+    groups: dict[int, list[int]] = {}
+    for c, root in enumerate(f.parent):
+        groups.setdefault(root, []).append(c)
+    return [groups[r] for r in sorted(groups)]
+
+
 def test_new_forest_singletons():
     f = SyncForest(6)
-    assert f.components() == [[c] for c in range(7)]
+    assert components(f) == [[c] for c in range(7)]
     assert f.flagged_cuts("L") == []
     assert f.flagged_cuts("R") == []
 
 
 def test_new_forest_empty_word():
     f = SyncForest(0)
-    assert f.components() == [[0]]
+    assert components(f) == [[0]]
 
 
 def test_new_forest_sixteen_cuts():
     f = SyncForest(16)
-    assert len(f.components()) == 17
+    assert len(components(f)) == 17
 
 
 def test_find_fresh():
     f = SyncForest(6)
-    assert f.find(5) == 5
+    assert f.parent[5] == 5
 
 
 def test_find_transitive_closure():
     f = SyncForest(6)
-    f.add_edges([(0, 3), (3, 6)])
+    f.add_star((0, 3, 6), 0, 1)
     f.recompress()
-    assert f.find(6) == f.find(0) == 0
-    assert f.find(5) == 5
-
-
-def test_find_out_of_range():
-    f = SyncForest(4)
-    with pytest.raises(ValueError):
-        f.find(5)
-    with pytest.raises(ValueError):
-        f.find(-1)
+    assert f.parent[6] == f.parent[0] == 0
+    assert f.parent[5] == 5
 
 
 def test_set_flag_basic():
     f = SyncForest(6)
     f.set_flag(0, "L")
-    assert f.has_flag(0, "L")
-    assert not f.has_flag(0, "R")
+    assert f._flags["L"][f.parent[0]]
+    assert not f._flags["R"][f.parent[0]]
 
 
 def test_set_flag_spreads_over_component():
     # components of abaaba after synchronizing letter b: {0,3,6},{1,4},{2,5}
     f = SyncForest(6)
-    f.add_edges([(0, 3), (1, 4), (2, 5), (3, 6)])
+    f.add_star((0, 3), 0, 4)  # (0, 3), (1, 4), (2, 5), (3, 6)
     f.recompress()
     f.set_flag(3, "L")
-    assert f.has_flag(6, "L")
-    assert f.has_flag(0, "L")
-    assert not f.has_flag(1, "L")
+    flags = f._flags["L"]
+    assert flags[f.parent[6]]
+    assert flags[f.parent[0]]
+    assert not flags[f.parent[1]]
 
 
 def test_set_flag_idempotent():
@@ -77,24 +79,42 @@ def test_unknown_side_is_rejected():
     with pytest.raises(KeyError):
         f.set_flag(1, "X")
     with pytest.raises(KeyError):
-        f.has_flag(1, "l")
+        f.set_flag(1, "l")
     with pytest.raises(KeyError):
         f.flagged_cuts("")
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == []
 
 
-def test_add_edges_buffered_until_recompress():
+def test_add_star_buffered_until_recompress():
     f = SyncForest(6)
-    f.add_edges([(0, 3)])
-    assert f.find(3) == 3
+    assert f.add_star((0, 3), 0, 1) == 1
+    assert f.parent[3] == 3
     f.recompress()
-    assert f.find(3) == 0
+    assert f.parent[3] == 0
 
 
-def test_add_edges_out_of_range():
+@pytest.mark.parametrize("star", [
+    ((1, 3), -2, 1),  # low end: 1 - 2 = -1
+    ((0, 3), 0, 3),  # high end: 3 + 3 - 1 = 5
+    ((3, 0), -1, 1),  # the extremes, whatever the order
+], ids=["low", "high", "unsorted"])
+def test_add_star_out_of_range(star):
     f = SyncForest(4)
     with pytest.raises(ValueError):
-        f.add_edges([(0, 7)])
+        f.add_star(*star)
+    assert f.pending == []
+
+
+@pytest.mark.parametrize(
+    "star", [((2,), -2, 2), ((0, 3), 1, 1), ((0, 3), 2, 1)],
+    ids=["one-occurrence", "no-offset", "reversed-offsets"],
+)
+def test_add_star_without_edges_buffers_nothing(star):
+    # one occurrence, or no offset: no edge to buffer
+    f = SyncForest(4)
+    assert f.add_star(*star) == 0
+    assert f.pending == []
+    assert f.recompress() == 0
 
 
 def test_recompress_no_pending_is_noop():
@@ -116,9 +136,10 @@ def test_recompress_abaaba_round_one():
         f.set_flag(c, "L")
     for c in (2, 5, 0, 3):
         f.set_flag(c, "R")
-    f.add_edges([(0, 3), (1, 4), (2, 5), (3, 6)])
+    # b at 2 and 5, neighborhood a_a: offsets -2 .. 1 around each
+    assert f.add_star((2, 5), -2, 2) == 4  # (0, 3), (1, 4), (2, 5), (3, 6)
     f.recompress()
-    assert f.components() == [[0, 3, 6], [1, 4], [2, 5]]
+    assert components(f) == [[0, 3, 6], [1, 4], [2, 5]]
     assert f.flagged_cuts("L") == [0, 1, 3, 4, 6]
     assert f.flagged_cuts("R") == [0, 2, 3, 5, 6]
 
@@ -126,20 +147,21 @@ def test_recompress_abaaba_round_one():
 def test_recompress_merges_components_and_ors_flags():
     # abba: round 1 links (0,3),(1,4); round 2 links (1,2),(2,3) collapse all
     f = SyncForest(4)
-    f.add_edges([(0, 3), (1, 4)])
+    f.add_star((0, 3), 0, 2)
     f.recompress()
     f.set_flag(0, "L")
     f.set_flag(1, "R")
-    f.add_edges([(1, 2), (2, 3)])
+    f.add_star((1, 2, 3), 0, 1)  # (1, 2), (1, 3)
     f.recompress()
-    assert f.components() == [[0, 1, 2, 3, 4]]
+    assert components(f) == [[0, 1, 2, 3, 4]]
     assert f.flagged_cuts("L") == [0, 1, 2, 3, 4]
     assert f.flagged_cuts("R") == [0, 1, 2, 3, 4]
 
 
 def test_height_one_and_flags_at_roots():
     f = SyncForest(10)
-    f.add_edges([(0, 5), (5, 9), (2, 3), (3, 4)])
+    f.add_star((0, 5, 9), 0, 1)
+    f.add_star((2, 3, 4), 0, 1)
     f.set_flag(9, "L")
     f.recompress()
     for c in range(11):
@@ -151,35 +173,36 @@ def test_height_one_and_flags_at_roots():
 
 def test_smallest_cut_is_root():
     f = SyncForest(8)
-    f.add_edges([(7, 2), (2, 5)])
+    f.add_star((7, 2, 5), 0, 1)  # (7, 2), (7, 5)
     f.recompress()
-    assert f.find(7) == 2
-    assert f.find(5) == 2
+    assert f.parent[7] == 2
+    assert f.parent[5] == 2
 
 
 def test_flag_set_before_recompress_survives_merge():
     f = SyncForest(4)
     f.set_flag(3, "L")
-    f.add_edges([(1, 3)])
+    f.add_star((1, 3), 0, 1)
     f.recompress()
-    assert f.has_flag(1, "L")
+    assert f._flags["L"][f.parent[1]]
     assert f.flagged_cuts("L") == [1, 3]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_recompress_long_chain(order):
-    # one path through every cut, its edges fed in three orders: the merge
-    # must give the same single component whatever the order
+    # one path through every cut, one star per link, fed in three orders:
+    # the merge must give the same single component whatever the order
     n = 10_000
-    edges = [(c, c + 1) for c in range(n)]
+    links = list(range(n))
     if order == "descending":
-        edges.reverse()
+        links.reverse()
     elif order == "shuffled":
-        random.Random(7).shuffle(edges)
+        random.Random(7).shuffle(links)
     f = SyncForest(n)
     f.set_flag(n, "L")
     f.set_flag(n // 2, "R")
-    f.add_edges(edges)
+    for c in links:
+        f.add_star((c, c + 1), 0, 1)
     cells = f.recompress()
     assert cells <= 8 * n + 2
     assert all(p == 0 for p in f.parent)  # root is the smallest cut, height one
@@ -200,7 +223,14 @@ ops = st.lists(
         st.tuples(st.just("flag"), st.integers(0, 12), st.sampled_from("LR")),
         st.tuples(
             st.just("merge"),
-            st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, 12), max_size=4),
+                    st.integers(-3, 3),
+                    st.integers(-3, 4),
+                ),
+                max_size=3,
+            ),
         ),
         st.tuples(st.just("read"), st.sampled_from("LR")),
     ),
@@ -213,10 +243,11 @@ def test_incremental_lists_match_brute_force(n, steps):
     # flagged_cuts must equal a scan of the roots' flags, whatever order
     # flags, merges and reads come in; the join log must hold each flagged
     # cut exactly once, and flagged_cuts must return the same list object
-    # every time; the member cycles must partition the cuts exactly as
-    # components() does
+    # every time; the components must be those of a naive closure over the
+    # stars' edges, and the member cycles must partition the cuts the same
     f = SyncForest(n)
     lists = {side: f.flagged_cuts(side) for side in "LR"}
+    label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
     def read(side):
         flags = f._flags[side]
@@ -229,12 +260,25 @@ def test_incremental_lists_match_brute_force(n, steps):
         if step[0] == "flag":
             f.set_flag(min(step[1], n), step[2])
         elif step[0] == "merge":
-            f.add_edges([(min(u, n), min(v, n)) for u, v in step[1]])
+            for occ, lo, hi in step[1]:
+                occ = tuple(min(k, n) for k in occ)
+                edges = [(occ[0] + m, k + m) for k in occ[1:] for m in range(lo, hi)]
+                if not all(0 <= c <= n for e in edges for c in e):
+                    pending = list(f.pending)
+                    with pytest.raises(ValueError):
+                        f.add_star(occ, lo, hi)
+                    assert f.pending == pending
+                    continue
+                assert f.add_star(occ, lo, hi) == len(edges)
+                for u, v in edges:
+                    new, old = sorted((label[u], label[v]))
+                    label = [new if x == old else x for x in label]
             f.recompress()
         else:
             read(step[1])
-        components = f.components()
-        assert [sorted(member_cycle(f, comp[0])) for comp in components] == components
+        comps = components(f)
+        assert comps == components(SimpleNamespace(parent=label))
+        assert [sorted(member_cycle(f, comp[0])) for comp in comps] == comps
     read("L")
     read("R")
 
@@ -244,14 +288,14 @@ def test_flagged_cuts_reports_joined_cuts():
     # new tail into one sorted list
     f = SyncForest(6)
     cuts = f.flagged_cuts("L")
-    f.add_edges([(1, 4)])
+    f.add_star((1, 4), 0, 1)
     f.recompress()
     f.set_flag(4, "L")
     assert f.log["L"] == [1, 4]
     assert f.flagged_cuts("L") == [1, 4]
     f.set_flag(2, "L")
     f.set_flag(4, "L")  # already flagged: joins nothing
-    f.add_edges([(0, 2)])  # 0 joins with 2's flag
+    f.add_star((0, 2), 0, 1)  # 0 joins with 2's flag
     f.recompress()
     assert f.log["L"] == [1, 4, 2, 0]
     assert f.flagged_cuts("L") == [0, 1, 2, 4]
@@ -259,16 +303,14 @@ def test_flagged_cuts_reports_joined_cuts():
     assert f.log["L"] == [1, 4, 2, 0] and f.log["R"] == []
 
 
-def test_add_edges_out_of_range_buffers_nothing():
+def test_add_star_out_of_range_buffers_nothing():
     f = SyncForest(4)
-    f.add_edges([(0, 1)])
+    f.add_star((0, 1), 0, 1)
     with pytest.raises(ValueError):
-        f.add_edges([(2, 3), (-1, 2)])
+        f.add_star((2, 3), -3, 1)
     with pytest.raises(ValueError):
-        f.add_edges(iter([(2, 3), (4, 5)]))
-    with pytest.raises(ValueError):
-        f.add_edges([(2, 3), (4,)])
-    assert f.pending == [0, 1]
-    assert f.add_edges((e for e in [(1, 2), (3, 4)])) == 2
+        f.add_star((2, 3), 0, 3)
+    assert f.pending == [((0, 1), 0, 1)]
+    assert f.add_star((1, 3), 0, 2) == 2  # (1, 3), (2, 4)
     assert f.recompress() > 0
-    assert f.components() == [[0, 1, 2], [3, 4]]
+    assert components(f) == [[0, 1, 3], [2, 4]]

@@ -148,7 +148,9 @@ def test_engine_violation_scan_matches_naive_alpha(w):
 def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
     # letters are expanded in any order, not only the scan's choice, so the
     # cut where the scan resumes is lowered by arbitrary rounds; after every
-    # round the scan must still return the first violating stretch
+    # round the scan must still return the first violating stretch, and
+    # every occurrence of every expanded letter must have its four cuts
+    # flagged and its neighborhood tied to the first occurrence's
     state = EngineState(w)
     while len(state.expanding) < w.alphabet_size:
         expected = first_violation_naive(w, state)
@@ -156,6 +158,16 @@ def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
         assert find_violation(state) == expected  # a repeated scan agrees
         rest = sorted(set(range(w.alphabet_size)) - state.expanding)
         expand_letter(state, data.draw(st.sampled_from(rest)))
+        left, right = set(state.left_cuts), set(state.right_cuts)
+        parent = state.forest.parent
+        for b in state.expanding:
+            nb = state.neighborhoods[b]
+            occ = state.index.pos[b]
+            for k in occ:
+                assert {k - 1, k + nb.right_len} <= left
+                assert {k, k - nb.left_len - 1} <= right
+                for m in range(-nb.left_len - 1, nb.right_len + 1):
+                    assert parent[k + m] == parent[occ[0] + m]
     assert find_violation(state) is None
 
 
