@@ -25,7 +25,6 @@ from .words import (
     Neighborhood,
     PosIndex,
     Word,
-    alpha_naive,
     build_index,
     intern_word,
     neighborhood,
@@ -42,7 +41,6 @@ __all__ = [
     "Word",
     "WordTooLongError",
     "all_words",
-    "alpha_naive",
     "build_index",
     "expand_letter",
     "factorization_exists",

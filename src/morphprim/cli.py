@@ -169,8 +169,8 @@ def cmd_trace(word: str, tokens: bool):
 @cli.command("oracle")
 @click.argument("word")
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
-@click.option("--max-len", default=DEFAULT_SIZE_GUARD, show_default=True,
-              help="Size guard for the exhaustive search.")
+@click.option("--max-len", type=click.IntRange(min=0), default=DEFAULT_SIZE_GUARD,
+              show_default=True, help="Size guard for the exhaustive search.")
 @click.option("--force", is_flag=True, help="Ignore the size guard.")
 def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     """Brute-force verdict, minimal expanding-set size and one witness."""
@@ -202,6 +202,8 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
               help="Words to emit.")
 def cmd_gen(family, family_n, random_, length, alphabet, seed, count):
     """Generate words, one per line."""
+    if family and random_:
+        raise click.UsageError("choose one of --family wn and --random")
     if family == "wn":
         if family_n is None:
             raise click.UsageError("--family wn requires --n")
@@ -241,6 +243,8 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
     neighborhood computation (visits), synchronization edges added (edges)
     and cells touched by recompression (cells), summed over the run.
     """
+    if family and path is not None:
+        raise click.UsageError("choose one of --family wn and --file")
     if family == "wn":
         if n_max is None:
             raise click.UsageError("--family wn requires --n-max")

@@ -51,9 +51,6 @@ class Morphism:
             out.extend(self.images[a])
         return tuple(out)
 
-    def is_identity(self) -> bool:
-        return all(img == (a,) for a, img in enumerate(self.images))
-
 
 class RoundRecord(NamedTuple):
     """What one round of the main loop did.
@@ -67,7 +64,6 @@ class RoundRecord(NamedTuple):
     letter: int
     neighborhood: Neighborhood
     scanned: int
-    visits: int
     edges: int
     cells: int
     log: dict[str, list[int]]
@@ -92,9 +88,6 @@ class Counters:
     edges: int = 0
     cells: int = 0
     loop_checks: int = 0
-
-    def total_work(self) -> int:
-        return self.scanned + self.visits + self.edges + self.cells
 
 
 class EngineState:
@@ -153,8 +146,8 @@ def alpha_query(classes: list[Sequence[int]], i: int, j: int) -> tuple[int, int]
     number of classes probed.
 
     It is the first position after ``i`` in the least frequent class (of
-    ``frequency_classes``) that has one in ``(i, j]``.  Same answer as
-    ``alpha_naive``.
+    ``frequency_classes``) that has one in ``(i, j]``.  The tests check it
+    against a direct scan of ``(i, j]`` (``alpha_naive`` in their conftest).
     """
     for probes, occ in enumerate(classes, start=1):
         k = bisect_right(occ, i)
@@ -300,7 +293,7 @@ def expand_letter(state: EngineState, a: int) -> None:
     state.counters.edges += edges
     state.counters.cells += cells
     state.rounds.append(RoundRecord(
-        len(state.rounds) + 1, a, nb, state.last_scan, nb.visited, edges, cells,
+        len(state.rounds) + 1, a, nb, state.last_scan, edges, cells,
         log, len(left), len(right),
     ))
 
@@ -308,23 +301,14 @@ def expand_letter(state: EngineState, a: int) -> None:
 def image(state: EngineState, a: int) -> tuple[int, ...]:
     """Image of expanding letter ``a`` read off the stable cut sets.
 
-    Anchored at the first occurrence ``k``: extend left to the nearest
-    right cut, extend right to the furthest right cut not preceded (at a
-    strictly smaller offset) by a left cut.  The result is independent of
-    which occurrence anchors it.
+    Anchored at the first occurrence ``k``: the image starts after the
+    largest right cut below ``k`` and ends at the largest right cut at or
+    before the first left cut at or after ``k``.  The result is independent
+    of which occurrence anchors it.
     """
     if a not in state.expanding:
         raise ValueError(f"letter {a} is not expanding")
-    return image_at(state, a, state.index.pos[a][0])
-
-
-def image_at(state: EngineState, a: int, k: int) -> tuple[int, ...]:
-    """Image of expanding letter ``a`` anchored at occurrence position ``k``.
-
-    Read off the current cut lists: the image starts after the largest
-    right cut below ``k`` and ends at the largest right cut at or before
-    the first left cut at or after ``k``.
-    """
+    k = state.index.pos[a][0]
     left, right = state.left_cuts, state.right_cuts
     start = right[bisect_left(right, k) - 1]
     stop = left[bisect_left(left, k)]

@@ -24,7 +24,7 @@ the cuts whose root changed, not to ``n``.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import chain, islice
+from itertools import islice
 from typing import Literal, Sequence
 
 Side = Literal["L", "R"]
@@ -126,39 +126,37 @@ class SyncForest:
         # per link, flat: the root linked away, its old successor, the root
         # it was linked under
         links: list[int] = []
-        edges = (
-            zip(range(occ[0] + lo, occ[0] + hi), range(k + lo, k + hi))
-            for occ, lo, hi in pending
-            for k in islice(occ, 1, None)
-        )
-        for u, v in chain.from_iterable(edges):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-                hops += 1
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-                hops += 1
-            if u == v:
-                continue
-            # the roots as the forest holds them, so no int made for an
-            # edge is kept in parent or links
-            u, v = parent[u], parent[v]
-            if v < u:
-                u, v = v, u
-            parent[v] = u
-            if flag_l[u] != flag_l[v]:
-                self._join(v if flag_l[u] else u, log_l)
-                flag_l[u] = 1
-            if flag_r[u] != flag_r[v]:
-                self._join(v if flag_r[u] else u, log_r)
-                flag_r[u] = 1
-            flag_l[v] = flag_r[v] = 0
-            links.append(v)
-            links.append(nxt[v])
-            links.append(u)
-            nxt[u], nxt[v] = nxt[v], nxt[u]
+        for occ, lo, hi in pending:
+            first = occ[0]
+            for k in islice(occ, 1, None):
+                shift = k - first
+                for u in range(first + lo, first + hi):
+                    v = u + shift
+                    while parent[u] != u:
+                        parent[u] = parent[parent[u]]
+                        u = parent[u]
+                        hops += 1
+                    while parent[v] != v:
+                        parent[v] = parent[parent[v]]
+                        v = parent[v]
+                        hops += 1
+                    if u == v:
+                        continue
+                    # the roots as the forest holds them, so no int made for
+                    # an edge is kept in parent or links
+                    u, v = parent[u], parent[v]
+                    if v < u:
+                        u, v = v, u
+                    parent[v] = u
+                    if flag_l[u] != flag_l[v]:
+                        self._join(v if flag_l[u] else u, log_l)
+                        flag_l[u] = 1
+                    if flag_r[u] != flag_r[v]:
+                        self._join(v if flag_r[u] else u, log_r)
+                        flag_r[u] = 1
+                    flag_l[v] = flag_r[v] = 0
+                    links += (v, nxt[v], u)
+                    nxt[u], nxt[v] = nxt[v], nxt[u]
         # emptied in place, so the stars are freed now, not at return
         pending.clear()
         relabeled = 0

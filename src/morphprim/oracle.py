@@ -32,7 +32,7 @@ def _factorize(word: Word, expanding: frozenset[int]) -> dict[int, tuple[int, ..
     search.  The depth-first search keeps its open choices on an explicit
     stack, so its depth is not bounded by Python's recursion limit.
     """
-    occ = [p for p in range(1, word.n + 1) if word.at(p) in expanding]
+    occ = [p for p, a in enumerate(word.letters, start=1) if a in expanding]
     # cuts that may end block i; the last block ends the word
     window = [range(p, nxt) for p, nxt in zip(occ, occ[1:])] + [range(word.n, word.n + 1)]
     images: dict[int, tuple[int, ...]] = {}
@@ -41,7 +41,7 @@ def _factorize(word: Word, expanding: frozenset[int]) -> dict[int, tuple[int, ..
     choices: list[tuple[int, int, int, int]] = []
     i = prev_cut = 0
     while i < len(occ):
-        e = word.at(occ[i])
+        e = word.letters[occ[i] - 1]
         if e in images:
             c = prev_cut + len(images[e])
             if c in window[i] and word.segment(prev_cut + 1, c) == images[e]:

@@ -1,5 +1,4 @@
-"""Word representation, occurrence indexing, neighborhoods and the naive
-least-frequent-letter lookup.
+"""Word representation, occurrence indexing and neighborhoods.
 
 Conventions used throughout the package: letters are dense 0-based ids,
 positions in a word are 1-based (``w[1] .. w[n]``), and cuts are 0-based
@@ -33,12 +32,6 @@ class Word:
     @property
     def alphabet_size(self) -> int:
         return len(self.symbols)
-
-    def at(self, p: int) -> int:
-        """Letter id at 1-based position ``p``."""
-        if not 1 <= p <= self.n:
-            raise IndexError(f"position {p} out of range 1..{self.n}")
-        return self.letters[p - 1]
 
     def segment(self, i: int, j: int) -> tuple[int, ...]:
         """Letter ids at positions ``i .. j`` inclusive (empty if ``i > j``)."""
@@ -150,20 +143,3 @@ def _common_extension(
                 return length, visited
         length += 1
 
-
-def alpha_naive(w: Word, idx: PosIndex, i: int, j: int) -> int:
-    """Leftmost position in ``(i, j]`` of a letter with minimal frequency.
-
-    Frequency is measured in the whole word, not in the factor; ties break
-    to the leftmost position.  This is the reference implementation used to
-    cross-check the amortized segment scan in the engine.
-    """
-    if not 0 <= i < j <= w.n:
-        raise ValueError(f"invalid cut interval ({i}, {j}] for length {w.n}")
-    best = i + 1
-    best_freq = idx.count[w.at(best)]
-    for k in range(i + 2, j + 1):
-        f = idx.count[w.at(k)]
-        if f < best_freq:
-            best, best_freq = k, f
-    return best

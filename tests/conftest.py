@@ -1,4 +1,5 @@
-"""Shared helpers: corpora and exhaustive stability/fixed-point audits."""
+"""Shared helpers: corpora, reference implementations the engine is checked
+against, and exhaustive stability/fixed-point audits."""
 
 from __future__ import annotations
 
@@ -6,15 +7,62 @@ import pytest
 
 from morphprim import (
     FactorizationResult,
+    PosIndex,
     Word,
-    alpha_naive,
     build_index,
     left_right_cut_check,
     neighborhood,
     verify,
 )
+from morphprim.engine import Counters
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
+
+
+def at(w: Word, p: int) -> int:
+    """Letter id at 1-based position ``p``."""
+    if not 1 <= p <= w.n:
+        raise IndexError(f"position {p} out of range 1..{w.n}")
+    return w.letters[p - 1]
+
+
+def alpha_naive(w: Word, idx: PosIndex, i: int, j: int) -> int:
+    """Leftmost position in ``(i, j]`` of a letter with minimal frequency.
+
+    Frequency is measured in the whole word, not in the factor; ties break
+    to the leftmost position.  This is the reference implementation used to
+    cross-check the amortized segment scan in the engine.
+    """
+    if not 0 <= i < j <= w.n:
+        raise ValueError(f"invalid cut interval ({i}, {j}] for length {w.n}")
+    best = i + 1
+    best_freq = idx.count[at(w, best)]
+    for k in range(i + 2, j + 1):
+        f = idx.count[at(w, k)]
+        if f < best_freq:
+            best, best_freq = k, f
+    return best
+
+
+def image_by_walk(state, k):
+    """Reference readout: walk the forest's flags cut by cut from ``k``."""
+    parent, flags = state.forest.parent, state.forest._flags
+    i = 0
+    while not flags["R"][parent[k - i - 1]]:
+        i += 1
+    best_j = j = 0
+    while True:
+        if flags["R"][parent[k + j]]:
+            best_j = j
+        if flags["L"][parent[k + j]]:
+            break
+        j += 1
+    return state.word.segment(k - i, k + best_j)
+
+
+def total_work(c: Counters) -> int:
+    """The four work counters of a run, summed."""
+    return c.scanned + c.visits + c.edges + c.cells
 
 
 def first_violation_naive(w: Word, state) -> int | None:
@@ -24,7 +72,7 @@ def first_violation_naive(w: Word, state) -> int | None:
         if l >= w.n:
             continue
         r = min(c for c in right if c > l)
-        a = w.at(alpha_naive(w, state.index, l, r))
+        a = at(w, alpha_naive(w, state.index, l, r))
         if a not in state.expanding:
             return a
     return None
@@ -59,7 +107,7 @@ def assert_stable(w: Word, result: FactorizationResult) -> None:
     for i in left:
         for j in right:
             if i < j:
-                assert w.at(alpha_naive(w, idx, i, j)) in expanding
+                assert at(w, alpha_naive(w, idx, i, j)) in expanding
 
 
 def assert_fixed_point(w: Word, result: FactorizationResult) -> None:
@@ -69,7 +117,7 @@ def assert_fixed_point(w: Word, result: FactorizationResult) -> None:
     if not result.primitive:
         assert any(img == () for img in f.images)
     else:
-        assert f.is_identity()
+        assert f.images == tuple((a,) for a in range(w.alphabet_size))
     assert left_right_cut_check(w, f, list(result.left_cuts), list(result.right_cuts))
 
 
@@ -94,7 +142,7 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     e = len(result.expanding)
     for r in result.rounds:
         assert r.scanned <= n
-        assert r.visits <= 2 * n
+        assert r.neighborhood.visited <= 2 * n
         assert r.edges < 2 * n
         assert r.cells <= 8 * n + 2
     assert result.round_count == e

@@ -24,6 +24,7 @@ from conftest import (
     assert_counter_bounds,
     assert_fixed_point,
     assert_stable,
+    total_work,
 )
 
 
@@ -112,7 +113,7 @@ def test_palindrome_pair_family_quadratic():
         assert result.primitive
         assert result.round_count == k  # one round per letter, |w|/2 rounds
         sizes.append(w.n)
-        work.append(result.counters.total_work())
+        work.append(total_work(result.counters))
     sizes = np.array(sizes, dtype=float)
     work = np.array(work, dtype=float)
     fit = np.polyval(np.polyfit(sizes, work, 2), sizes)
@@ -126,7 +127,7 @@ def test_linear_scaling_fixed_alphabet():
     work = []
     for n in lengths:
         result = run(random_word(n, 4, seed=42))
-        work.append(result.counters.total_work())
+        work.append(total_work(result.counters))
     x = np.array(lengths, dtype=float)
     y = np.array(work, dtype=float)
     slope = float((x * y).sum() / (x * x).sum())  # least-squares through origin

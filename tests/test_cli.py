@@ -235,6 +235,11 @@ class TestGen:
         assert invoke("gen").exit_code == 1
         assert invoke("gen", "--family", "wn").exit_code == 1
 
+    def test_both_modes_is_usage_error(self):
+        res = invoke("gen", "--family", "wn", "--n", "2", "--random")
+        assert res.exit_code == 1
+        assert "choose one of --family wn and --random" in res.output
+
 
 @pytest.mark.parametrize("args", [
     ["gen", "--family", "wn", "--n", "0"],
@@ -242,7 +247,8 @@ class TestGen:
     ["gen", "--random", "--len", "3", "--alphabet", "0"],
     ["gen", "--random", "--len", "3", "--alphabet", "2", "--count", "-2"],
     ["bench", "--family", "wn", "--n-max", "0"],
-], ids=["n", "len", "alphabet", "count", "n-max"])
+    ["oracle", "ab", "--max-len", "-5"],
+], ids=["n", "len", "alphabet", "count", "n-max", "max-len"])
 def test_number_out_of_range_exit_code(args):
     res = run_cli(args, b"", {})
     assert res.returncode == 1
@@ -287,6 +293,13 @@ class TestBench:
     def test_missing_file_exit_code(self):
         res = invoke("bench", "--file", "/nonexistent/words.txt")
         assert res.exit_code == 3
+
+    def test_both_modes_is_usage_error(self):
+        # refused before the file is opened or any row is printed
+        res = invoke("bench", "--family", "wn", "--n-max", "2", "--file", "/nonexistent")
+        assert res.exit_code == 1
+        assert "choose one of --family wn and --file" in res.output
+        assert "n\tm" not in res.output
 
     @pytest.mark.parametrize("env", STDIN_ENVS)
     def test_malformed_utf8_stdin_exit_code(self, env):

@@ -7,7 +7,6 @@ import pytest
 from morphprim import (
     EngineState,
     Morphism,
-    alpha_naive,
     build_index,
     expand_letter,
     find_violation,
@@ -19,14 +18,16 @@ from morphprim import (
     run,
     verify,
 )
-from morphprim.engine import alpha_query, frequency_classes, image_at
+from morphprim.engine import alpha_query, frequency_classes
 from morphprim.oracle import all_words
 
 from conftest import (
     EXAMPLE_WORD,
+    alpha_naive,
     assert_counter_bounds,
     assert_fixed_point,
     first_violation_naive,
+    image_by_walk,
 )
 
 
@@ -143,8 +144,8 @@ class TestImage:
             while (a := find_violation(state)) is not None:
                 expand_letter(state, a)
             for a in state.expanding:
-                imgs = {image_at(state, a, k) for k in state.index.pos[a]}
-                assert len(imgs) == 1
+                imgs = {image_by_walk(state, k) for k in state.index.pos[a]}
+                assert imgs == {image(state, a)}
 
 
 class TestRun:
@@ -269,22 +270,6 @@ class TestLeftRightCutCheck:
         assert not left_right_cut_check(w, r.morphism, [2], [])
 
 
-def image_by_walk(state, k):
-    """Reference readout: walk the forest's flags cut by cut from ``k``."""
-    parent, flags = state.forest.parent, state.forest._flags
-    i = 0
-    while not flags["R"][parent[k - i - 1]]:
-        i += 1
-    best_j = j = 0
-    while True:
-        if flags["R"][parent[k + j]]:
-            best_j = j
-        if flags["L"][parent[k + j]]:
-            break
-        j += 1
-    return state.word.segment(k - i, k + best_j)
-
-
 def test_image_at_matches_flag_walk(small_corpus):
     words = small_corpus[::5] + [intern_word(EXAMPLE_WORD)]
     words += [random_word(300, a, seed) for a in (2, 3, 5) for seed in range(4)]
@@ -295,7 +280,7 @@ def test_image_at_matches_flag_walk(small_corpus):
             # every expanding letter, at every occurrence, after every round
             for b in state.expanding:
                 for k in state.index.pos[b]:
-                    assert image_at(state, b, k) == image_by_walk(state, k)
+                    assert image(state, b) == image_by_walk(state, k)
 
 
 @pytest.mark.parametrize(

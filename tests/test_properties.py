@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphprim import (
-    alpha_naive,
     build_index,
     intern_word,
     min_expanding,
@@ -19,14 +18,17 @@ from morphprim.engine import (
     expand_letter,
     find_violation,
     frequency_classes,
-    image_at,
+    image,
 )
 
 from conftest import (
+    alpha_naive,
     assert_counter_bounds,
     assert_fixed_point,
     assert_stable,
+    at,
     first_violation_naive,
+    image_by_walk,
 )
 
 words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
@@ -58,9 +60,9 @@ def test_neighborhood_agreement(w):
         nb = neighborhood(w, idx, a)
         occ = idx.pos[a]
         for k in range(1, nb.right_len + 1):
-            assert len({w.at(p + k) for p in occ}) == 1
+            assert len({at(w, p + k) for p in occ}) == 1
         for k in range(1, nb.left_len + 1):
-            assert len({w.at(p - k) for p in occ}) == 1
+            assert len({at(w, p - k) for p in occ}) == 1
         assert nb.visited <= 2 * w.n
 
 
@@ -187,8 +189,8 @@ def test_image_occurrence_independence(w):
     while (a := find_violation(state)) is not None:
         expand_letter(state, a)
     for a in state.expanding:
-        images = {image_at(state, a, k) for k in state.index.pos[a]}
-        assert len(images) == 1
+        images = {image_by_walk(state, k) for k in state.index.pos[a]}
+        assert images == {image(state, a)}
 
 
 @given(words)

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from morphprim import alpha_naive, build_index, intern_word, neighborhood
+from morphprim import build_index, intern_word, neighborhood
 
-from conftest import EXAMPLE_WORD
+from conftest import EXAMPLE_WORD, alpha_naive, at
 
 
 class TestInternWord:
@@ -57,7 +57,7 @@ class TestBuildIndex:
             assert sum(idx.count) == w.n
             for a, occ in enumerate(idx.pos):
                 assert list(occ) == sorted(occ)
-                assert all(w.at(p) == a for p in occ)
+                assert all(at(w, p) == a for p in occ)
 
 
 class TestNeighborhood:
@@ -104,17 +104,17 @@ class TestNeighborhood:
                     assert p + nb.right_len <= w.n
                 first = occ[0]
                 for k in range(1, nb.right_len + 1):
-                    assert all(w.at(p + k) == w.at(first + k) for p in occ)
+                    assert all(at(w, p + k) == at(w, first + k) for p in occ)
                 for k in range(1, nb.left_len + 1):
-                    assert all(w.at(p - k) == w.at(first - k) for p in occ)
+                    assert all(at(w, p - k) == at(w, first - k) for p in occ)
                 # one more step fails agreement or crosses a boundary
                 k = nb.right_len + 1
                 assert any(p + k > w.n for p in occ) or len(
-                    {w.at(p + k) for p in occ}
+                    {at(w, p + k) for p in occ}
                 ) > 1
                 k = nb.left_len + 1
                 assert any(p - k < 1 for p in occ) or len(
-                    {w.at(p - k) for p in occ}
+                    {at(w, p - k) for p in occ}
                 ) > 1
 
     def test_contains_one_occurrence(self, small_corpus):
@@ -144,14 +144,14 @@ class TestAlphaNaive:
         idx = build_index(w)
         k = alpha_naive(w, idx, 0, 16)
         assert k == 1
-        assert w.symbols[w.at(k)] == "c"
+        assert w.symbols[at(w, k)] == "c"
 
     def test_example_word_stretch(self):
         w = intern_word(EXAMPLE_WORD)
         idx = build_index(w)
         k = alpha_naive(w, idx, 7, 9)
         assert k == 8
-        assert w.symbols[w.at(k)] == "d"
+        assert w.symbols[at(w, k)] == "d"
 
     def test_single_position_interval(self, small_corpus):
         for w in small_corpus[:200]:
