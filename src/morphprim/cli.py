@@ -187,6 +187,14 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
         click.echo(f"witness\t{_morphism_line(w, res.morphism(w), tokens)}")
 
 
+def _refuse_stray(mode: str, options: dict[str, object]) -> None:
+    """Usage error if any of ``options`` (name to value) was given: ``mode``
+    does not read them, and ignoring them would hide a mistaken call."""
+    given = [name for name, value in options.items() if value is not None and value is not False]
+    if given:
+        raise click.UsageError(f"{mode} does not take {', '.join(given)}")
+
+
 @cli.command("gen")
 @click.option("--family", type=click.Choice(["wn"]), default=None,
               help="Named family (wn: k distinct letters mirrored).")
@@ -197,7 +205,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
               help="Random word length.")
 @click.option("--alphabet", type=click.IntRange(min=1), default=None,
               help="Random alphabet size.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Random seed.")
+@click.option("--seed", type=int, default=None, help="Random seed (default 0).")
 @click.option("--count", type=click.IntRange(min=0), default=1, show_default=True,
               help="Words to emit.")
 def cmd_gen(family, family_n, random_, length, alphabet, seed, count):
@@ -207,11 +215,14 @@ def cmd_gen(family, family_n, random_, length, alphabet, seed, count):
     if family == "wn":
         if family_n is None:
             raise click.UsageError("--family wn requires --n")
+        _refuse_stray("--family wn", {"--len": length, "--alphabet": alphabet, "--seed": seed})
         for _ in range(count):
             click.echo(palindrome_pair_word(family_n).render())
     elif random_:
         if length is None or alphabet is None:
             raise click.UsageError("--random requires --len and --alphabet")
+        _refuse_stray("--random", {"--n": family_n})
+        seed = seed or 0
         for i in range(count):
             click.echo(random_word(length, alphabet, seed + i).render())
     else:
@@ -248,8 +259,10 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
     if family == "wn":
         if n_max is None:
             raise click.UsageError("--family wn requires --n-max")
+        _refuse_stray("--family wn", {"--tokens": tokens})
         source = nullcontext()
     elif path is not None:
+        _refuse_stray("--file", {"--n-max": n_max})
         try:
             source = nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
         except OSError as exc:

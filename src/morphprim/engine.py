@@ -5,7 +5,9 @@ the minimal left/right cut sets, then reads off an idempotent morphism
 ``f`` with ``f(w) = w`` whose non-erased letters are exactly ``E``.  The
 word is morphically primitive iff ``E`` ends up being the whole alphabet.
 
-A round costs what it changes.  The violation scan resumes at the lowest
+A round costs what it changes.  Round 1's violation is read off the
+occurrence index, and once every letter expands the last check reads
+nothing; between them the violation scan resumes at the lowest
 left cut a round may have changed (its new left cuts, or the old ones whose
 right cut moved) and reads each position it passes at most once: a
 right-cut segment is either scanned by suffix minima, or, when it is long
@@ -17,13 +19,15 @@ the edges and the cuts whose root changed.  Each cut joins the left and the
 right cut list at most once per run, and the engine reads the forest's two
 sorted lists in place, so no round copies them: a round's record keeps the
 lengths of the forest's join logs, from which its cut sets are rebuilt only
-when they are read.
+when they are read.  The factor cuts are the ends of the image blocks,
+found from the occurrences of the expanding letters.
 
 ``scanned`` counts the positions read by suffix scans, plus one per
 occurrence list a query probes and one per letter a query reads.  A query
 reads at most ``d + 1``, with ``d`` the number of distinct frequencies, and
 a segment is queried only when that many per left cut in it is less than
-its length, so a scan still reads at most ``n`` per call.
+its length, so a scan still reads at most ``n`` per call.  Round 1 counts
+``m``, one per letter it compares, and a check with ``E = Σ`` counts 0.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .forest import SyncForest
@@ -176,15 +180,32 @@ def find_violation(state: EngineState) -> int | None:
     reads, at most ``d + 1``; otherwise suffix minima, taken from ``r``
     down to ``l``, read its ``r - l`` positions once.  Segments do not
     overlap, so one call reads at most ``n`` (``state.last_scan``).
-    Before any letter expands, the one segment is the whole word and is
-    scanned, so the classes are built only for a word that needs a second
-    round's queries.  Sets ``state.scan_from`` to the violating left cut,
-    or past ``n`` if there is none.
+    Before any letter expands, the cuts are ``{0, n}`` and the one segment
+    is the whole word: its leftmost least-frequent letter is the least
+    frequent letter with the smallest first occurrence, which the index
+    gives in ``O(m)`` (``m`` counted), so every scan of the loop has an
+    expanding letter and the classes are built only for a word that needs
+    a second round's queries.  Once every letter expands, no letter can
+    violate, and the call returns None reading nothing.  Sets
+    ``state.scan_from`` to the violating left cut, or past ``n`` if there
+    is none.
     """
     letters = state.word.letters
     n = len(letters)
     freq = state.index.count
     expanding = state.expanding
+    if len(expanding) == len(freq):
+        # E is the whole alphabet (or the word is empty): nothing violates
+        state.scan_from, state.last_scan = n + 1, 0
+        return None
+    if not expanding:
+        # the cuts are {0, n}: the one segment is the whole word, whose
+        # leftmost least-frequent letter the index gives in O(m)
+        pos = state.index.pos
+        a = min(range(len(freq)), key=lambda b: (freq[b], pos[b][0]))
+        state.scan_from, state.last_scan = 0, len(freq)
+        state.counters.scanned += len(freq)
+        return a
     left, right = state.left_cuts, state.right_cuts
     seg_best = state.seg_best
     classes, cost = state.classes, state.query_cost
@@ -209,11 +230,7 @@ def find_violation(state: EngineState) -> int | None:
             r = right[ri]
             # queries pay when (d + 1) * q < r - l; q >= 1, so the left cuts
             # are counted only in a segment longer than one query's cost
-            query = (
-                r - l > cost
-                and expanding
-                and cost * (bisect_left(left, r, li) - li) < r - l
-            )
+            query = r - l > cost and cost * (bisect_left(left, r, li) - li) < r - l
             if query:
                 if classes is None:
                     classes = state.classes = frequency_classes(state.index)
@@ -352,7 +369,8 @@ def run(word: Word) -> FactorizationResult:
     Rounds add one violating letter each until the cut sets are stable;
     non-expanding letters are erased.  The factor cuts are those where the
     image of the prefix has exactly the prefix length; they delimit the
-    morphic factorization induced by the returned morphism.
+    morphic factorization induced by the returned morphism, and are read
+    off the image blocks rather than by summing image lengths over the word.
     """
     state = EngineState(word)
     while True:
@@ -367,14 +385,25 @@ def run(word: Word) -> FactorizationResult:
         for a in range(word.alphabet_size)
     )
     morphism = Morphism(expanding=frozenset(state.expanding), images=images)
-    # factor cuts: where the running total of image lengths meets the cut
-    lengths = [len(img) for img in images]
-    totals = accumulate(map(lengths.__getitem__, word.letters), initial=0)
-    factor_cuts = tuple(k for k, t in enumerate(totals) if t == k)
+    primitive = len(state.expanding) == word.alphabet_size
+    # factor cuts: the ends of the image blocks.  f(w) = w and f is
+    # idempotent, so each image is x a y with x and y erased, and an
+    # occurrence p of a ends its block at p + |y|; a primitive word's
+    # blocks are its letters
+    if primitive:
+        factor_cuts = tuple(range(word.n + 1))
+    else:
+        ends = [0]
+        for a in state.expanding:
+            img = images[a]
+            tail = len(img) - img.index(a) - 1
+            ends.extend([p + tail for p in state.index.pos[a]])
+        ends.sort()
+        factor_cuts = tuple(ends)
     return FactorizationResult(
         word=word,
         morphism=morphism,
-        primitive=len(state.expanding) == word.alphabet_size,
+        primitive=primitive,
         rounds=tuple(state.rounds),
         left_cuts=tuple(state.left_cuts),
         right_cuts=tuple(state.right_cuts),

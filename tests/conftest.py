@@ -14,7 +14,7 @@ from morphprim import (
     neighborhood,
     verify,
 )
-from morphprim.engine import Counters
+from morphprim.engine import Counters, Morphism, prefix_image_lengths
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
 
@@ -63,6 +63,12 @@ def image_by_walk(state, k):
 def total_work(c: Counters) -> int:
     """The four work counters of a run, summed."""
     return c.scanned + c.visits + c.edges + c.cells
+
+
+def factor_cuts_by_definition(w: Word, f: Morphism) -> tuple[int, ...]:
+    """The cuts ``k`` with ``|f(w[1..k])| = k``, from the running image length."""
+    plen = prefix_image_lengths(w, f)
+    return tuple(k for k, t in enumerate(plen) if t == k)
 
 
 def first_violation_naive(w: Word, state) -> int | None:

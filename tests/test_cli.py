@@ -240,6 +240,17 @@ class TestGen:
         assert res.exit_code == 1
         assert "choose one of --family wn and --random" in res.output
 
+    @pytest.mark.parametrize("args, stray", [
+        (["--family", "wn", "--n", "2", "--len", "5"], "--len"),
+        (["--family", "wn", "--n", "2", "--alphabet", "3"], "--alphabet"),
+        (["--family", "wn", "--n", "2", "--seed", "0"], "--seed"),
+        (["--random", "--len", "3", "--alphabet", "2", "--n", "7"], "--n"),
+    ], ids=["family-len", "family-alphabet", "family-seed", "random-n"])
+    def test_option_of_the_other_mode_is_usage_error(self, args, stray):
+        res = invoke("gen", *args)
+        assert res.exit_code == 1
+        assert f"does not take {stray}" in res.output
+
 
 @pytest.mark.parametrize("args", [
     ["gen", "--family", "wn", "--n", "0"],
@@ -266,8 +277,10 @@ class TestBench:
             n, m, e, rounds = map(int, line.split(",")[:4])
             assert (n, m) == (2 * k, k)
             assert rounds == e == k  # primitive family: one round per letter
-        # aa: run()'s counters scanned, visits, edges, cells, one per column
-        assert lines[1].split(",")[4:8] == ["4", "1", "2", "3"]
+        # aa: run()'s counters scanned, visits, edges, cells, one per column;
+        # round 1 reads its one letter from the index, and the last check
+        # reads nothing once every letter expands
+        assert lines[1].split(",")[4:8] == ["1", "1", "2", "3"]
 
     def test_file_input_with_empty_word(self, tmp_path):
         path = tmp_path / "words.txt"
@@ -299,6 +312,17 @@ class TestBench:
         res = invoke("bench", "--family", "wn", "--n-max", "2", "--file", "/nonexistent")
         assert res.exit_code == 1
         assert "choose one of --family wn and --file" in res.output
+        assert "n\tm" not in res.output
+
+    @pytest.mark.parametrize("args, stray", [
+        (["--file", "-", "--n-max", "4"], "--n-max"),
+        (["--family", "wn", "--n-max", "2", "--tokens"], "--tokens"),
+    ], ids=["file-n-max", "family-tokens"])
+    def test_option_of_the_other_mode_is_usage_error(self, args, stray):
+        # refused before any word is read or any row is printed
+        res = invoke("bench", *args, input="ab\n")
+        assert res.exit_code == 1
+        assert f"does not take {stray}" in res.output
         assert "n\tm" not in res.output
 
     @pytest.mark.parametrize("env", STDIN_ENVS)

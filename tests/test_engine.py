@@ -7,6 +7,7 @@ import pytest
 from morphprim import (
     EngineState,
     Morphism,
+    Word,
     build_index,
     expand_letter,
     find_violation,
@@ -26,6 +27,7 @@ from conftest import (
     alpha_naive,
     assert_counter_bounds,
     assert_fixed_point,
+    factor_cuts_by_definition,
     first_violation_naive,
     image_by_walk,
 )
@@ -314,6 +316,48 @@ def test_wn_scan_reads_linear_work():
     assert run(w).counters.scanned <= 4 * w.n
 
 
+def test_round_one_ties_break_to_the_first_occurrence():
+    # letter ids follow first appearance only in interned words; a Word
+    # built directly may number its letters in any order
+    w = Word(letters=(2, 1, 0, 0, 1, 2), symbols=("a", "b", "c"))
+    state = EngineState(w)
+    assert find_violation(state) == 2 == first_violation_naive(w, state)
+
+
+def test_fully_expanded_state_returns_none_at_once():
+    for text in ("", "a", "abaaba", "abba", EXAMPLE_WORD, "abcb" * 50):
+        w = intern_word(text)
+        state = EngineState(w)
+        for a in reversed(range(w.alphabet_size)):
+            expand_letter(state, a)
+        assert find_violation(state) is None
+        assert state.last_scan == 0
+        assert state.scan_from > w.n
+
+
+def test_round_one_reads_the_alphabet_and_the_last_check_reads_nothing(small_corpus):
+    # round 1 takes its letter from the index (m reads, not n), and once
+    # every letter expands the last check reads nothing at all
+    words = [w for w in small_corpus[::7] if w.n] + [intern_word(EXAMPLE_WORD)]
+    words += [palindrome_pair_word(k) for k in (1, 2, 17, 64)]
+    words += [random_word(n, a, seed) for n, a, seed in [(500, 2, 0), (4000, 4, 1), (3000, 9, 2)]]
+    for w in words:
+        r = run(w)
+        assert r.rounds[0].scanned == w.alphabet_size
+        if r.primitive:
+            assert r.counters.scanned == sum(rr.scanned for rr in r.rounds)
+
+
+@pytest.mark.parametrize("text", [
+    "ab" * 50, "abcd" * 100, "abccc" * 300, "aab" * 70, "abcabd" * 40,
+    "a" * 30, "ba" * 31 + "b", "abcb" * 50, "abc" * 7 + "d" + "abc" * 7,
+])
+def test_factor_cuts_of_periodic_words_match_definition(text):
+    w = intern_word(text)
+    r = run(w)
+    assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
+
+
 def drive(text):
     state = EngineState(intern_word(text))
     while (a := find_violation(state)) is not None:
@@ -363,7 +407,7 @@ class TestFrequencyClasses:
         # a word stable after round one, over two scans, builds nothing
         state = drive("abcb" * 50)
         assert len(state.rounds) == 1 and state.classes is None
-        # the first scan of any word reads its one segment, the whole word
+        # the first scan of any word reads the index, not the word
         state = EngineState(palindrome_pair_word(64))
         find_violation(state)
         assert state.classes is None

@@ -27,6 +27,7 @@ from conftest import (
     assert_fixed_point,
     assert_stable,
     at,
+    factor_cuts_by_definition,
     first_violation_naive,
     image_by_walk,
 )
@@ -35,6 +36,7 @@ words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
 nonempty_words = st.text(alphabet="abcd", min_size=1, max_size=14).map(intern_word)
 oracle_words = st.text(alphabet="abcd", min_size=0, max_size=10).map(intern_word)
 wide_words = st.text(alphabet="abcdefg", min_size=0, max_size=24).map(intern_word)
+eight_letter_words = st.text(alphabet="abcdefgh", min_size=0, max_size=30).map(intern_word)
 
 
 @st.composite
@@ -51,6 +53,21 @@ def tied_token_words(draw):
     counts = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     letters = draw(st.permutations([t for t, c in zip(tokens, counts) for _ in range(c)]))
     return parse_word(" ".join(letters), tokens=True)
+
+
+@st.composite
+def fixed_points(draw):
+    """``f(u)`` for an idempotent ``f`` over up to 8 letters, and ``u``.
+
+    Each kept letter ``a`` maps to ``x a y`` with ``x`` and ``y`` over the
+    erased letters, so ``f(f(u)) = f(u)``; ``u`` is over the kept letters.
+    """
+    m = draw(st.integers(2, 8))
+    kept = draw(st.integers(1, m - 1))
+    erased = st.text(alphabet="abcdefgh"[kept:m], max_size=3)
+    images = {a: draw(erased) + a + draw(erased) for a in "abcdefgh"[:kept]}
+    u = draw(st.text(alphabet="abcdefgh"[:kept], min_size=1, max_size=12))
+    return intern_word("".join(images[a] for a in u)), u
 
 
 @given(nonempty_words)
@@ -102,6 +119,31 @@ def test_run_agrees_with_oracle(w):
     assert result.primitive == (not oracle.proper)
     assert len(result.expanding) == oracle.size
     assert verify(w, oracle.morphism(w))
+
+
+@given(st.one_of(eight_letter_words, tied_token_words()))
+def test_factor_cuts_match_definition(w):
+    r = run(w)
+    assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
+
+
+@given(fixed_points())
+def test_factor_cuts_of_planted_fixed_points_match_definition(planted):
+    w, u = planted
+    r = run(w)
+    assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
+    # an erased letter that occurs makes f a proper fixed point of w
+    if w.alphabet_size > len(set(u)):
+        assert not r.primitive
+
+
+@given(st.one_of(eight_letter_words, tied_token_words()))
+def test_round_one_letter_matches_naive(w):
+    # round 1 reads its letter off the index: the least frequent letter
+    # with the earliest first occurrence is the naive alpha of (0, n]
+    state = EngineState(w)
+    assert find_violation(state) == first_violation_naive(w, state)
+    assert state.last_scan == w.alphabet_size
 
 
 @given(tied_token_words(), st.data())
