@@ -371,6 +371,7 @@ def run(word: Word) -> FactorizationResult:
     image of the prefix has exactly the prefix length; they delimit the
     morphic factorization induced by the returned morphism, and are read
     off the image blocks rather than by summing image lengths over the word.
+    A primitive word's images are its letters, read without the cut lists.
     """
     state = EngineState(word)
     while True:
@@ -380,19 +381,19 @@ def run(word: Word) -> FactorizationResult:
             break
         expand_letter(state, a)
 
-    images = tuple(
-        image(state, a) if a in state.expanding else ()
-        for a in range(word.alphabet_size)
-    )
-    morphism = Morphism(expanding=frozenset(state.expanding), images=images)
-    primitive = len(state.expanding) == word.alphabet_size
-    # factor cuts: the ends of the image blocks.  f(w) = w and f is
-    # idempotent, so each image is x a y with x and y erased, and an
-    # occurrence p of a ends its block at p + |y|; a primitive word's
-    # blocks are its letters
+    m = word.alphabet_size
+    primitive = len(state.expanding) == m
+    # f(w) = w and f is idempotent, so each image is x a y with x and y
+    # erased, and an occurrence p of a ends its block of the factorization
+    # at p + |y|; with nothing erased, each image and each block is one
+    # letter
     if primitive:
+        images = tuple((a,) for a in range(m))
         factor_cuts = tuple(range(word.n + 1))
     else:
+        images = tuple(
+            image(state, a) if a in state.expanding else () for a in range(m)
+        )
         ends = [0]
         for a in state.expanding:
             img = images[a]
@@ -400,6 +401,7 @@ def run(word: Word) -> FactorizationResult:
             ends.extend([p + tail for p in state.index.pos[a]])
         ends.sort()
         factor_cuts = tuple(ends)
+    morphism = Morphism(expanding=frozenset(state.expanding), images=images)
     return FactorizationResult(
         word=word,
         morphism=morphism,

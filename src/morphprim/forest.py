@@ -3,22 +3,26 @@
 Connected components of cuts are kept as a forest of rooted trees of height
 one: every cut points directly at its root, the smallest cut of its
 component, so membership queries are O(1).  Each component also threads its
-members on a circular list (``next``).  Each root carries two flags
-recording whether the cuts of its component belong to the left-cut set and
-the right-cut set.  A component's members join a side only when the
-component gains the flag, so every cut joins each side at most once per
-run.  Each side appends its cuts to a join log (``log``) in the order they
-join, and keeps one sorted list of them that takes in the log's new tail
-when it is read.  Sorted, a prefix of the log is the side as it stood when
-the log had that length, so no earlier state needs a copy.
+members on a circular list (``next``); a lone cut, the only member of its
+component, is its own successor.  Each root carries two flag bits in one
+byte (``flags``: ``SIDE_BIT["L"]`` and ``SIDE_BIT["R"]``) recording whether
+the cuts of its component belong to the left-cut set and the right-cut set.
+A component's members join a side only when the component gains the flag,
+so every cut joins each side at most once per run.  Each side appends its
+cuts to a join log (``log``) in the order they join, and keeps one sorted
+list of them that takes in the log's new tail when it is read.  Sorted, a
+prefix of the log is the side as it stood when the log had that length, so
+no earlier state needs a copy.
 
 New edges are buffered as stars, each tying the cuts around every
 occurrence of a letter to the same cuts around its first occurrence, and
 merged in place at the next recompression: union-find with path halving and
 linking by smallest root, then a walk over the members of each component
-that was linked away, which points them at their new root and restores
-height one.  The work of a recompression is proportional to the edges and
-the cuts whose root changed, not to ``n``.
+with more than one member that was linked away, which points them at their
+new root and restores height one.  The work of a recompression is
+proportional to the edges and the cuts whose root changed, not to ``n``:
+its count of cells is one per root-search hop, plus one per link, plus one
+per cut a walk relabels.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from itertools import islice
 from typing import Literal, Sequence
 
 Side = Literal["L", "R"]
+
+# the bit of each side in a root's flag byte; any other side is a KeyError
+SIDE_BIT = {"L": 1, "R": 2}
 
 # a tail of at most this many new cuts is inserted one by one: a sort first
 # walks the whole list to find its runs, and in a micro-benchmark (CPython
@@ -46,8 +53,9 @@ class SyncForest:
         self.parent = list(range(n + 1))
         # next[c]: the member after c on its component's circular list
         self.next = self.parent[:]
-        # per-root flags by side; any other side is a KeyError
-        self._flags = {"L": bytearray(n + 1), "R": bytearray(n + 1)}
+        # per-root side flags, SIDE_BIT["L"] | SIDE_BIT["R"] at most; zero
+        # at every cut that is not a root
+        self.flags = bytearray(n + 1)
         # per side: every flagged cut once, in the order it joined, and the
         # log's first len(_cuts[side]) cuts ascending
         self.log: dict[str, list[int]] = {"L": [], "R": []}
@@ -70,11 +78,14 @@ class SyncForest:
 
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
-        flags = self._flags[side]
-        self._check(c)
+        bit = SIDE_BIT[side]
+        if not 0 <= c <= self.n:
+            raise ValueError(f"cut {c} out of range 0..{self.n}")
         root = self.parent[c]
-        if not flags[root]:
-            flags[root] = 1
+        flags = self.flags
+        f = flags[root]
+        if not f & bit:
+            flags[root] = f | bit
             self._join(root, self.log[side])
 
     def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
@@ -97,41 +108,49 @@ class SyncForest:
 
         The new components are the connected closure of the old components
         plus the edges of the pending stars, taken occurrence by occurrence
-        and, within one, by increasing offset.  For each edge both roots are
-        found with path halving; the larger root is linked under the smaller
-        one, which takes over its flags, and their member lists are spliced.
-        If exactly one of the two carried a side's flag, the members of the
-        other join that side.  The members a root brings along stay in one
-        run of the spliced list, from its old successor up to the root
-        itself; at the end the run of each root linked directly under a
-        surviving root is walked and pointed at it, which leaves every cut
-        pointing at the smallest cut of its component.
+        and, within one, by increasing offset.  Each occurrence reads its
+        cuts' parents and the first occurrence's as two slices; from each
+        pair of parents the roots are found with path halving (a parent read
+        earlier is still an ancestor, as links only hang roots under roots).
+        The larger root is linked under the smaller one, which takes over
+        its flags, and their member lists are spliced.  If exactly one of
+        the two carried a side's flag, the members of the other join that
+        side.  A lone cut linked away already points at its root and lies on
+        its list, so nothing more is done for it.  The members any other
+        root brings along stay in one run of the spliced list, from its old
+        successor up to the root itself; at the end the run of each such
+        root linked directly under a surviving root is walked and pointed at
+        it, which leaves every cut pointing at the smallest cut of its
+        component.
 
         Returns the number of cells touched: one per parent hop in the root
-        searches plus one per cut relabeled (at most ``n``, as cut 0 is
-        always a root).  Linking by index with path halving is not linear
-        in the worst case (the searches can cost a logarithmic factor per
-        edge), so ``8n + 2`` is a measured bound, not a proven one.  The
-        largest count per engine round seen is 0.38 of it over all words of
-        length <= 9 on 4 letters, 0.28 on random words up to 20 000 letters
-        and 0.25 on periodic words.
+        searches past the parent read from a slice, one per link and one per
+        cut a walk relabels (links and relabels are each at most ``n``, as
+        cut 0 is always a root).  Linking by index with path halving is not
+        linear in the worst case (the searches can cost a logarithmic factor
+        per edge), so ``8n + 2`` is a measured bound, not a proven one.  The
+        largest count per engine round seen is 0.26 of it over all words of
+        length <= 9 on 4 letters, 0.19 on random words up to 20 000 letters
+        and 0.13 on periodic words.
         """
         pending = self.pending
         if not pending:
             return 0
-        parent, nxt = self.parent, self.next
-        flag_l, flag_r = self._flags["L"], self._flags["R"]
+        parent, nxt, flags = self.parent, self.next, self.flags
         log_l, log_r = self.log["L"], self.log["R"]
-        hops = 0
-        # per link, flat: the root linked away, its old successor, the root
-        # it was linked under
+        join = self._join
+        hops = linked = 0
+        # per link of a root with other members, flat: the root linked
+        # away, its old successor, the root it was linked under
         links: list[int] = []
         for occ, lo, hi in pending:
             first = occ[0]
+            start, stop = first + lo, first + hi
             for k in islice(occ, 1, None):
                 shift = k - first
-                for u in range(first + lo, first + hi):
-                    v = u + shift
+                # the slices hold the forest's own ints, so no int made for
+                # an edge is kept in parent or links
+                for u, v in zip(parent[start:stop], parent[start + shift:stop + shift]):
                     while parent[u] != u:
                         parent[u] = parent[parent[u]]
                         u = parent[u]
@@ -142,21 +161,34 @@ class SyncForest:
                         hops += 1
                     if u == v:
                         continue
-                    # the roots as the forest holds them, so no int made for
-                    # an edge is kept in parent or links
-                    u, v = parent[u], parent[v]
                     if v < u:
                         u, v = v, u
                     parent[v] = u
-                    if flag_l[u] != flag_l[v]:
-                        self._join(v if flag_l[u] else u, log_l)
-                        flag_l[u] = 1
-                    if flag_r[u] != flag_r[v]:
-                        self._join(v if flag_r[u] else u, log_r)
-                        flag_r[u] = 1
-                    flag_l[v] = flag_r[v] = 0
-                    links += (v, nxt[v], u)
-                    nxt[u], nxt[v] = nxt[v], nxt[u]
+                    linked += 1
+                    fu, fv = flags[u], flags[v]
+                    if fu | fv:
+                        if fu != fv:
+                            # a side whose bit (SIDE_BIT: 1 for L, 2 for R)
+                            # is set at one root only gains the other's
+                            # members
+                            if (fu ^ fv) & 1:
+                                c = v if fu & 1 else u
+                                if nxt[c] == c:
+                                    log_l.append(c)
+                                else:
+                                    join(c, log_l)
+                            if (fu ^ fv) & 2:
+                                c = v if fu & 2 else u
+                                if nxt[c] == c:
+                                    log_r.append(c)
+                                else:
+                                    join(c, log_r)
+                            flags[u] = fu | fv
+                        flags[v] = 0
+                    c = nxt[v]
+                    nxt[u], nxt[v] = c, nxt[u]
+                    if c != v:
+                        links += (v, c, u)
         # emptied in place, so the stars are freed now, not at return
         pending.clear()
         relabeled = 0
@@ -171,8 +203,7 @@ class SyncForest:
                 parent[c] = u
                 c = nxt[c]
                 relabeled += 1
-            relabeled += 1
-        return hops + relabeled
+        return hops + linked + relabeled
 
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts whose component carries the flag, ascending.

@@ -109,37 +109,54 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
     """Compute the neighborhood of letter ``a`` in ``w``.
 
     A letter with a single occurrence extends to both word boundaries.
+    ``visited`` counts the positions a step-by-step walk reads: at each
+    step the first occurrence's letter, then every other occurrence's in
+    order, up to and including the first that differs or until one would
+    leave the word.  The occurrences are sorted, so all of them stay inside
+    the word for ``n - occ[-1]`` steps rightwards and ``occ[0] - 1``
+    leftwards, and those steps are walked without range checks.  Past
+    them, only a rightward walk reads more, in one step that stops at the
+    last occurrence.
     """
     if not 0 <= a < w.alphabet_size or idx.count[a] == 0:
         raise ValueError(f"letter {a} does not occur in the word")
-    occ = idx.pos[a]
-    right, right_visited = _common_extension(w.letters, occ, 1)
-    left, left_visited = _common_extension(w.letters, occ, -1)
-    return Neighborhood(left_len=left, right_len=right, visited=right_visited + left_visited)
-
-
-def _common_extension(
-    letters: tuple[int, ...], occ: tuple[int, ...], step: int
-) -> tuple[int, int]:
-    """Length of the common extension of ``occ`` and the positions read.
-
-    Extends by ``step`` (+1 rightwards, -1 leftwards) while every occurrence
-    reads the same letter inside the word.
-    """
-    n = len(letters)
+    letters, occ = w.letters, idx.pos[a]
+    n, m = len(letters), len(occ)
     first, rest = occ[0], occ[1:]
-    length = visited = 0
-    while True:
-        k = (length + 1) * step
-        if not 1 <= first + k <= n:
-            return length, visited
-        visited += 1
-        c = letters[first + k - 1]
-        for p in rest:
-            if not 1 <= p + k <= n:
-                return length, visited
-            visited += 1
-            if letters[p + k - 1] != c:
-                return length, visited
-        length += 1
+    if m == 1:
+        # nothing to disagree with: one position read per step, to both ends
+        return Neighborhood(first - 1, n - first, n - 1)
+    # a step at offset d reads letters[p + d] at each occurrence p, the
+    # letter at 1-based position p + d + 1
+    steps = n - occ[-1]
+    d, p = _first_mismatch(letters, first, rest, range(steps))
+    if p is None:
+        right = steps
+        # the step that would take the last occurrence out of the word
+        _, p = _first_mismatch(letters, first, rest[:-1], range(steps, steps + 1))
+        visited = steps * m + (m - 1 if p is None else rest.index(p) + 2)
+    else:
+        right = d
+        visited = d * m + rest.index(p) + 2
+    d, p = _first_mismatch(letters, first, rest, range(-2, -first - 1, -1))
+    if p is None:
+        left = first - 1
+        visited += left * m
+    else:
+        left = -d - 2
+        visited += left * m + rest.index(p) + 2
+    return Neighborhood(left, right, visited)
 
+
+def _first_mismatch(
+    letters: tuple[int, ...], first: int, rest: tuple[int, ...], offsets: range
+) -> tuple[int | None, int | None]:
+    """The first offset ``d`` at which some occurrence in ``rest`` reads
+    another letter than ``first`` does (``letters[p + d]``), and the first
+    such occurrence; ``(None, None)`` if they agree at every offset."""
+    for d in offsets:
+        c = letters[first + d]
+        for p in rest:
+            if letters[p + d] != c:
+                return d, p
+    return None, None

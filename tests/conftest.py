@@ -4,6 +4,7 @@ against, and exhaustive stability/fixed-point audits."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from morphprim import (
     FactorizationResult,
@@ -15,8 +16,13 @@ from morphprim import (
     verify,
 )
 from morphprim.engine import Counters, Morphism, prefix_image_lengths
+from morphprim.forest import SIDE_BIT
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
+
+# a wider sweep, selected with --hypothesis-profile=ci; tests that set their
+# own max_examples keep it
+settings.register_profile("ci", max_examples=400)
 
 
 def at(w: Word, p: int) -> int:
@@ -44,17 +50,49 @@ def alpha_naive(w: Word, idx: PosIndex, i: int, j: int) -> int:
     return best
 
 
+def neighborhood_by_walk(w: Word, idx: PosIndex, a: int) -> tuple[int, int, int]:
+    """Reference ``(left_len, right_len, visited)`` of letter ``a``, walked
+    one step at a time with a range check at every position."""
+    occ = idx.pos[a]
+    right, right_visited = _extension_by_walk(w.letters, occ, 1)
+    left, left_visited = _extension_by_walk(w.letters, occ, -1)
+    return left, right, right_visited + left_visited
+
+
+def _extension_by_walk(letters, occ, step):
+    """Extends by ``step`` while every occurrence reads the same letter
+    inside the word; each step reads the first occurrence, then the others
+    in order up to the first that differs or would leave the word."""
+    n = len(letters)
+    first, rest = occ[0], occ[1:]
+    length = visited = 0
+    while True:
+        k = (length + 1) * step
+        if not 1 <= first + k <= n:
+            return length, visited
+        visited += 1
+        c = letters[first + k - 1]
+        for p in rest:
+            if not 1 <= p + k <= n:
+                return length, visited
+            visited += 1
+            if letters[p + k - 1] != c:
+                return length, visited
+        length += 1
+
+
 def image_by_walk(state, k):
     """Reference readout: walk the forest's flags cut by cut from ``k``."""
-    parent, flags = state.forest.parent, state.forest._flags
+    parent, flags = state.forest.parent, state.forest.flags
+    left, right = SIDE_BIT["L"], SIDE_BIT["R"]
     i = 0
-    while not flags["R"][parent[k - i - 1]]:
+    while not flags[parent[k - i - 1]] & right:
         i += 1
     best_j = j = 0
     while True:
-        if flags["R"][parent[k + j]]:
+        if flags[parent[k + j]] & right:
             best_j = j
-        if flags["L"][parent[k + j]]:
+        if flags[parent[k + j]] & left:
             break
         j += 1
     return state.word.segment(k - i, k + best_j)
@@ -139,10 +177,11 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     costs more than its length.  Neighborhood computation reads at most 2n
     positions, fewer than 2n synchronization edges are added, and
     recompression touches at most 8n + 2 cells.  A cell is one root-search
-    hop or one cut pointed at a new root (at most n of those); with linking
-    by index and path halving the hops are not linear in the worst case,
-    so this bound is a measured one, not a proven one (see
-    ``SyncForest.recompress``).
+    hop past the parent a search starts from, one link of a root under
+    another, or one cut a relabel walk points at a new root (at most n
+    links and n relabels); with linking by index and path halving the hops
+    are not linear in the worst case, so this bound is a measured one, not
+    a proven one (see ``SyncForest.recompress``).
     """
     n = w.n
     e = len(result.expanding)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morphprim import SyncForest
+from morphprim.forest import SIDE_BIT
 
 
 def components(f):
@@ -16,6 +17,11 @@ def components(f):
     for c, root in enumerate(f.parent):
         groups.setdefault(root, []).append(c)
     return [groups[r] for r in sorted(groups)]
+
+
+def flagged(f, c, side):
+    """Whether the root of ``c`` carries the flag bit of ``side``."""
+    return bool(f.flags[f.parent[c]] & SIDE_BIT[side])
 
 
 def test_new_forest_singletons():
@@ -51,8 +57,8 @@ def test_find_transitive_closure():
 def test_set_flag_basic():
     f = SyncForest(6)
     f.set_flag(0, "L")
-    assert f._flags["L"][f.parent[0]]
-    assert not f._flags["R"][f.parent[0]]
+    assert flagged(f, 0, "L")
+    assert not flagged(f, 0, "R")
 
 
 def test_set_flag_spreads_over_component():
@@ -61,10 +67,9 @@ def test_set_flag_spreads_over_component():
     f.add_star((0, 3), 0, 4)  # (0, 3), (1, 4), (2, 5), (3, 6)
     f.recompress()
     f.set_flag(3, "L")
-    flags = f._flags["L"]
-    assert flags[f.parent[6]]
-    assert flags[f.parent[0]]
-    assert not flags[f.parent[1]]
+    assert flagged(f, 6, "L")
+    assert flagged(f, 0, "L")
+    assert not flagged(f, 1, "L")
 
 
 def test_set_flag_idempotent():
@@ -168,7 +173,7 @@ def test_height_one_and_flags_at_roots():
         assert f.parent[f.parent[c]] == f.parent[c]
     for c in range(11):
         if f.parent[c] != c:
-            assert not f._flags["L"][c] and not f._flags["R"][c]
+            assert not f.flags[c]
 
 
 def test_smallest_cut_is_root():
@@ -184,7 +189,7 @@ def test_flag_set_before_recompress_survives_merge():
     f.set_flag(3, "L")
     f.add_star((1, 3), 0, 1)
     f.recompress()
-    assert f._flags["L"][f.parent[1]]
+    assert flagged(f, 1, "L")
     assert f.flagged_cuts("L") == [1, 3]
 
 
@@ -207,7 +212,7 @@ def test_recompress_long_chain(order):
     assert cells <= 8 * n + 2
     assert all(p == 0 for p in f.parent)  # root is the smallest cut, height one
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
-    assert [c for c in range(n + 1) if f._flags["L"][c] or f._flags["R"][c]] == [0]
+    assert [c for c in range(n + 1) if f.flags[c]] == [0]
 
 
 def member_cycle(f, root):
@@ -218,16 +223,31 @@ def member_cycle(f, root):
     return cycle
 
 
+@st.composite
+def overlapping_stars(draw):
+    """A star whose occurrences lie closer than its window is wide, so
+    neighbouring windows share cuts, as a periodic word's do."""
+    gap = draw(st.integers(1, 3))
+    lo = draw(st.integers(-3, 0))
+    hi = draw(st.integers(lo + gap + 1, lo + gap + 4))
+    first = draw(st.integers(0, 12))
+    occ = tuple(first + i * gap for i in range(draw(st.integers(2, 4))))
+    return occ, lo, hi
+
+
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("flag"), st.integers(0, 12), st.sampled_from("LR")),
         st.tuples(
             st.just("merge"),
             st.lists(
-                st.tuples(
-                    st.lists(st.integers(0, 12), max_size=4),
-                    st.integers(-3, 3),
-                    st.integers(-3, 4),
+                st.one_of(
+                    st.tuples(
+                        st.lists(st.integers(0, 12), max_size=4),
+                        st.integers(-3, 3),
+                        st.integers(-3, 4),
+                    ),
+                    overlapping_stars(),
                 ),
                 max_size=3,
             ),
@@ -250,10 +270,9 @@ def test_incremental_lists_match_brute_force(n, steps):
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
     def read(side):
-        flags = f._flags[side]
         cuts = f.flagged_cuts(side)
         assert cuts is lists[side]
-        assert cuts == [c for c in range(n + 1) if flags[f.parent[c]]]
+        assert cuts == [c for c in range(n + 1) if flagged(f, c, side)]
         assert sorted(f.log[side]) == cuts
 
     for step in steps:
@@ -279,6 +298,9 @@ def test_incremental_lists_match_brute_force(n, steps):
         comps = components(f)
         assert comps == components(SimpleNamespace(parent=label))
         assert [sorted(member_cycle(f, comp[0])) for comp in comps] == comps
+        # flags sit at roots only, as the two side bits
+        assert all(f.flags[c] == 0 for c in range(n + 1) if f.parent[c] != c)
+        assert set(f.flags) <= {0, 1, 2, 3}
     read("L")
     read("R")
 
@@ -314,3 +336,51 @@ def test_add_star_out_of_range_buffers_nothing():
     assert f.add_star((1, 3), 0, 2) == 2  # (1, 3), (2, 4)
     assert f.recompress() > 0
     assert components(f) == [[0, 1, 3], [2, 4]]
+
+
+def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
+    # (3, 5) links the lone cut 5 under 3, which records nothing for the
+    # relabel walk; (1, 3) then links 3 away under 1, and the walk of 3's
+    # run must carry 5 along to 1
+    f = SyncForest(6)
+    f.set_flag(5, "L")
+    f.add_star((3, 5), 0, 1)
+    f.add_star((1, 3), 0, 1)
+    cells = f.recompress()
+    assert components(f) == [[0], [1, 3, 5], [2], [4], [6]]
+    assert f.parent[5] == f.parent[3] == 1
+    assert sorted(member_cycle(f, 1)) == [1, 3, 5]
+    # the flag of 5 passed to 3, then to 1, each joining L once
+    assert f.log["L"] == [5, 3, 1]
+    assert f.flags[1] == SIDE_BIT["L"] and not f.flags[3] and not f.flags[5]
+    # no hop past a slice's parent, two links, one cut relabeled (5)
+    assert cells == 3
+
+
+def test_lone_cuts_join_each_log_once():
+    f = SyncForest(8)
+    f.add_star((2, 4), 0, 1)  # unflagged {2, 4}
+    f.add_star((3, 7), 0, 1)  # {3, 7}, to be L only
+    f.recompress()
+    f.set_flag(3, "L")
+    f.set_flag(0, "L")
+    f.set_flag(0, "R")
+    # the flagged lone cut 0 takes in the unflagged {2, 4}; the unflagged
+    # lone cut 5 is linked under the L-only {3, 7}; the unflagged lone cut
+    # 1 takes in {3, 5, 7} and joins L
+    f.add_star((0, 2), 0, 1)
+    f.add_star((3, 5), 0, 1)
+    f.recompress()
+    assert f.log["L"] == [3, 7, 0, 2, 4, 5]
+    assert f.log["R"] == [0, 2, 4]
+    f.add_star((1, 3), 0, 1)
+    f.recompress()
+    assert f.log["L"] == [3, 7, 0, 2, 4, 5, 1]
+    for side in "LR":
+        log = f.log[side]
+        assert len(set(log)) == len(log)
+        assert sorted(log) == f.flagged_cuts(side)
+    assert components(f) == [[0, 2, 4], [1, 3, 5, 7], [6], [8]]
+    assert f.flags[0] == SIDE_BIT["L"] | SIDE_BIT["R"]
+    assert f.flags[1] == SIDE_BIT["L"]
+    assert [c for c in range(9) if f.flags[c]] == [0, 1]

@@ -30,6 +30,7 @@ from conftest import (
     factor_cuts_by_definition,
     first_violation_naive,
     image_by_walk,
+    neighborhood_by_walk,
 )
 
 words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
@@ -81,6 +82,15 @@ def test_neighborhood_agreement(w):
         for k in range(1, nb.left_len + 1):
             assert len({at(w, p - k) for p in occ}) == 1
         assert nb.visited <= 2 * w.n
+
+
+@given(st.one_of(eight_letter_words, tied_token_words()))
+def test_neighborhood_matches_walk(w):
+    # the walk checks the word's ends at every step; neighborhood bounds
+    # its steps up front and counts the same positions read
+    idx = build_index(w)
+    for a in range(w.alphabet_size):
+        assert tuple(neighborhood(w, idx, a)) == neighborhood_by_walk(w, idx, a)
 
 
 @given(nonempty_words)
@@ -233,6 +243,11 @@ def test_image_occurrence_independence(w):
     for a in state.expanding:
         images = {image_by_walk(state, k) for k in state.index.pos[a]}
         assert images == {image(state, a)}
+    # run() reads a primitive word's images off its letters, any other
+    # word's off the cut lists; either way they match the flag walk
+    r = run(w)
+    for a in state.expanding:
+        assert r.morphism.images[a] == image_by_walk(state, state.index.pos[a][0])
 
 
 @given(words)

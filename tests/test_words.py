@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from morphprim import build_index, intern_word, neighborhood
+from morphprim import build_index, intern_word, neighborhood, palindrome_pair_word
 
-from conftest import EXAMPLE_WORD, alpha_naive, at
+from conftest import EXAMPLE_WORD, alpha_naive, at, neighborhood_by_walk
 
 
 class TestInternWord:
@@ -92,6 +92,19 @@ class TestNeighborhood:
             idx = build_index(w)
             for a in range(w.alphabet_size):
                 assert neighborhood(w, idx, a).visited <= 2 * w.n
+
+    def test_matches_walk_on_small_corpus(self, small_corpus):
+        for w in small_corpus:
+            idx = build_index(w)
+            for a in range(w.alphabet_size):
+                assert tuple(neighborhood(w, idx, a)) == neighborhood_by_walk(w, idx, a)
+
+    def test_matches_walk_on_palindrome_pairs(self):
+        for k in range(1, 65):
+            w = palindrome_pair_word(k)
+            idx = build_index(w)
+            for a in range(k):
+                assert tuple(neighborhood(w, idx, a)) == neighborhood_by_walk(w, idx, a)
 
     def test_agreement_and_maximality(self, small_corpus):
         for w in small_corpus[:2000]:
