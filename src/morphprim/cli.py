@@ -250,9 +250,10 @@ def _bench_row(w: Word) -> tuple:
 def cmd_bench(family, n_max, path, tokens, as_csv):
     """One row per word: n, m, |E|, rounds, the four work counters, nanoseconds.
 
-    The counters are positions read by the violation scan (scanned), by the
-    neighborhood computation (visits), synchronization edges added (edges)
-    and cells touched by recompression (cells), summed over the run.
+    The counters are positions read by the violation scan (scanned), the
+    positions a step-by-step neighborhood walk would read (visits),
+    synchronization edges added (edges) and cells touched by recompression
+    (cells), summed over the run.
     """
     if family and path is not None:
         raise click.UsageError("choose one of --family wn and --file")

@@ -13,7 +13,11 @@ right cut moved) and reads each position it passes at most once: a
 right-cut segment is either scanned by suffix minima, or, when it is long
 and holds few left cuts, answered by range-minimum queries over the
 letters' fixed frequencies, one sorted occurrence list per distinct
-frequency.  Neighborhood computation reads at most ``2n`` positions; fewer
+frequency.  Those lists are built by a rent-or-buy rule: segments a query
+could answer are scanned until the positions they would read reach what the
+build reads (``n + m``), and only then are the lists built and queried, so
+a word pays for a build only after its scans have cost as much.  A
+neighborhood walk counts at most ``2n`` positions (``visits``, below); fewer
 than ``2n`` synchronization edges are added; and recompression walks only
 the edges and the cuts whose root changed.  Each cut joins the left and the
 right cut list at most once per run, and the engine reads the forest's two
@@ -28,6 +32,12 @@ reads at most ``d + 1``, with ``d`` the number of distinct frequencies, and
 a segment is queried only when that many per left cut in it is less than
 its length, so a scan still reads at most ``n`` per call.  Round 1 counts
 ``m``, one per letter it compares, and a check with ``E = Σ`` counts 0.
+The rent-or-buy rule scans, before a build, fewer than ``n + m`` positions
+that queries would have spared.
+
+``visits`` counts the positions a step-by-step neighborhood walk would
+read (see ``words.neighborhood``), not the ones ``neighborhood`` reads: a
+letter with one occurrence counts ``n - 1`` though nothing is compared.
 """
 
 from __future__ import annotations
@@ -42,8 +52,7 @@ from .forest import SyncForest
 from .words import Neighborhood, PosIndex, Word, build_index, neighborhood
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     """Letter-to-word map; letters outside ``expanding`` map to the empty word."""
 
     expanding: frozenset[int]
@@ -83,19 +92,38 @@ class RoundRecord(NamedTuple):
         return tuple(sorted(self.log["R"][: self.right_size]))
 
 
-@dataclass
 class Counters:
-    """Work counters accumulated over a whole run."""
+    """Work counters accumulated over a whole run; each starts at 0."""
 
-    scanned: int = 0
-    visits: int = 0
-    edges: int = 0
-    cells: int = 0
-    loop_checks: int = 0
+    __slots__ = ("scanned", "visits", "edges", "cells", "loop_checks")
+
+    def __init__(self) -> None:
+        self.scanned = self.visits = self.edges = self.cells = self.loop_checks = 0
+
+    def _values(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Counters:
+            return NotImplemented
+        return self._values() == other._values()
+
+    # mutable, so unhashable
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values())
+        return f"Counters({', '.join(f'{k}={v}' for k, v in fields)})"
 
 
 class EngineState:
     """Mutable state of one factorization run; single-threaded use."""
+
+    __slots__ = (
+        "word", "index", "expanding", "forest", "left_cuts", "right_cuts",
+        "scan_from", "seg_best", "classes", "rent_due", "query_cost",
+        "neighborhoods", "rounds", "counters", "last_scan",
+    )
 
     def __init__(self, word: Word):
         n = word.n
@@ -103,22 +131,24 @@ class EngineState:
         self.index = build_index(word)
         self.expanding: set[int] = set()
         self.forest = forest = SyncForest(n)
-        # extremal cuts are always both left and right
-        for side in ("L", "R"):
-            forest.set_flag(0, side)
-            forest.set_flag(n, side)
-        # the forest's live sorted L/R lists, brought up to date once per
-        # round after recompression
-        self.left_cuts = forest.flagged_cuts("L")
-        self.right_cuts = forest.flagged_cuts("R")
+        # extremal cuts are always both left and right; the forest's live
+        # sorted L/R lists, brought up to date once per round after
+        # recompression
+        self.left_cuts, self.right_cuts = forest.flag_ends()
         # no left cut below this cut violates the minimal-frequency condition
         self.scan_from = 0
-        # seg_best[i]: leftmost least-frequent index from i to the end of the
-        # segment last scanned (0-based); kept to spare an allocation per scan
+        # seg_best[i]: the letter at the leftmost least-frequent index from i
+        # to the end of the segment last scanned (0-based); kept to spare an
+        # allocation per scan, and holding letters, not indices, so that it
+        # keeps no int object alive that the word does not hold already
         self.seg_best = [0] * n
         # sorted occurrence positions per distinct frequency, least frequent
-        # first (see frequency_classes); built at the first query
+        # first (see frequency_classes); built once scans could have paid
+        # for them (see find_violation)
         self.classes: list[Sequence[int]] | None = None
+        # what a build reads (at most n positions and m counts), less the
+        # positions scanned since in segments a query could have answered
+        self.rent_due = n + len(self.index.count)
         # the most a query reads: one probe per class, then its letter
         self.query_cost = len(set(self.index.count)) + 1
         self.neighborhoods: dict[int, Neighborhood] = {}
@@ -179,13 +209,17 @@ def find_violation(state: EngineState) -> int | None:
     ``alpha_query``, counted as the lists it probes plus the letter it
     reads, at most ``d + 1``; otherwise suffix minima, taken from ``r``
     down to ``l``, read its ``r - l`` positions once.  Segments do not
-    overlap, so one call reads at most ``n`` (``state.last_scan``).
+    overlap, so one call reads at most ``n`` (``state.last_scan``).  The
+    queries need the frequency classes, whose build reads up to ``n + m``;
+    until the segments that could have been queried add up to that many
+    positions, this one included, they are scanned instead
+    (``state.rent_due`` is what remains), and the segment that reaches it
+    builds the classes.
     Before any letter expands, the cuts are ``{0, n}`` and the one segment
     is the whole word: its leftmost least-frequent letter is the least
     frequent letter with the smallest first occurrence, which the index
     gives in ``O(m)`` (``m`` counted), so every scan of the loop has an
-    expanding letter and the classes are built only for a word that needs
-    a second round's queries.  Once every letter expands, no letter can
+    expanding letter.  Once every letter expands, no letter can
     violate, and the call returns None reading nothing.  Sets
     ``state.scan_from`` to the violating left cut, or past ``n`` if there
     is none.
@@ -231,26 +265,33 @@ def find_violation(state: EngineState) -> int | None:
             # queries pay when (d + 1) * q < r - l; q >= 1, so the left cuts
             # are counted only in a segment longer than one query's cost
             query = r - l > cost and cost * (bisect_left(left, r, li) - li) < r - l
-            if query:
-                if classes is None:
+            if query and classes is None:
+                # rent before buying: scan while the positions scanned in
+                # segments a query could answer, this one included, stay
+                # below what the build reads
+                if r - l < state.rent_due:
+                    state.rent_due -= r - l
+                    query = False
+                else:
                     classes = state.classes = frequency_classes(state.index)
-            else:
-                # suffix argmin over indices l..r-1 (positions l+1..r); the
+            if not query:
+                # suffix minima over indices l..r-1 (positions l+1..r); the
                 # right-to-left pass keeps ties at the leftmost index
-                arg = r - 1
-                least = freq[letters[arg]]
+                best = letters[r - 1]
+                least = freq[best]
                 for i in range(r - 1, l - 1, -1):
-                    f = freq[letters[i]]
+                    b = letters[i]
+                    f = freq[b]
                     if f <= least:
-                        arg, least = i, f
-                    seg_best[i] = arg
+                        best, least = b, f
+                    seg_best[i] = best
                 scanned += r - l
         if query:
             p, probes = alpha_query(classes, l, r)
             scanned += probes + 1
             a = letters[p - 1]
         else:
-            a = letters[seg_best[l]]
+            a = seg_best[l]
         if a not in expanding:
             violator, stop = a, l
             break
@@ -333,9 +374,15 @@ def image(state: EngineState, a: int) -> tuple[int, ...]:
     return state.word.segment(start + 1, end)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FactorizationResult:
-    """Outcome of a run: verdict, witness morphism and per-round trace."""
+    """Outcome of a run: verdict, witness morphism and per-round trace.
+
+    The one dataclass of the package, so that ``dataclasses.replace`` can
+    derive a changed result (the benchmark's checker tests do).  It is not
+    frozen, since a frozen one took 2 to 3 µs more to build per run, but
+    its fields are read-only by convention.
+    """
 
     word: Word
     morphism: Morphism

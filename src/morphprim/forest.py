@@ -88,6 +88,25 @@ class SyncForest:
             flags[root] = f | bit
             self._join(root, self.log[side])
 
+    def flag_ends(self) -> tuple[list[int], list[int]]:
+        """Flag cuts ``0`` and ``n`` on both sides in one step, and return
+        the sorted L and R lists (see ``flagged_cuts``).
+
+        Needs a forest with no flags in which cuts ``0`` and ``n`` are each
+        alone in their component, as in a new one; then it leaves the
+        forest as ``set_flag(0, side)``, ``set_flag(n, side)`` and
+        ``flagged_cuts(side)`` for both sides would: both logs and both
+        lists are ``[0, n]`` (``[0]`` when ``n = 0``).
+        """
+        log, cuts, nxt, n = self.log, self._cuts, self.next, self.n
+        if log["L"] or log["R"] or nxt[0] != 0 or nxt[n] != n:
+            raise ValueError("flag_ends needs no flags and cuts 0 and n alone")
+        self.flags[0] = self.flags[n] = SIDE_BIT["L"] | SIDE_BIT["R"]
+        ends = [0, n] if n else [0]
+        log["L"], log["R"] = ends, ends[:]
+        cuts["L"], cuts["R"] = left, right = ends[:], ends[:]
+        return left, right
+
     def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
         """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
         ``occ`` and every ``m`` in ``range(lo, hi)``; components change only

@@ -8,9 +8,8 @@ evidence.  Intended for desk-scale cross-validation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .engine import Morphism
 from .words import Word, intern_word, surface_symbol
@@ -79,8 +78,7 @@ def factorization_exists(word: Word, expanding: frozenset[int] | set[int]) -> bo
     return _factorize(word, expanding) is not None
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Minimal expanding set found by exhaustive search."""
 
     size: int

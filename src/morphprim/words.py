@@ -8,11 +8,9 @@ word of length ``n`` has cuts ``0 .. n``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
 class Word:
     """An interned word over a compact alphabet.
 
@@ -20,10 +18,29 @@ class Word:
     ``symbols[a]`` is the surface form of letter id ``a``. Every id below
     ``alphabet_size`` occurs in ``letters``, i.e. the alphabet is exactly
     the set of letters occurring in the word.
+
+    The fields are read-only by convention: nothing stops an assignment,
+    but equality and the hash read them, and engine states keep the word.
+    A word is not a tuple, so ``len`` and iteration are not defined on it,
+    and it equals only another ``Word`` with the same fields.
     """
 
-    letters: tuple[int, ...]
-    symbols: tuple[str, ...]
+    __slots__ = ("letters", "symbols")
+
+    def __init__(self, letters: tuple[int, ...], symbols: tuple[str, ...]):
+        self.letters = letters
+        self.symbols = symbols
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters == other.letters and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.symbols))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r}, symbols={self.symbols!r})"
 
     @property
     def n(self) -> int:
@@ -70,8 +87,7 @@ def surface_symbol(i: int) -> str:
     return f"x{i - 25}"
 
 
-@dataclass(frozen=True)
-class PosIndex:
+class PosIndex(NamedTuple):
     """Per-letter occurrence counts and 1-based occurrence positions.
 
     ``pos[a][i]`` is the position of the ``i + 1``-th occurrence of letter
@@ -95,9 +111,10 @@ class Neighborhood(NamedTuple):
 
     ``left_len`` and ``right_len`` are the lengths of the longest extensions
     to the left and right on which all occurrences agree without crossing a
-    word boundary.  ``visited`` counts the positions read while computing
-    them (it is at most ``2n``: left parts of distinct occurrences are
-    disjoint, and so are right parts).
+    word boundary.  ``visited`` counts the positions a step-by-step walk
+    computing them would read (see ``neighborhood``), not the ones it
+    reads; it is at most ``2n``: left parts of distinct occurrences are
+    disjoint, and so are right parts.
     """
 
     left_len: int

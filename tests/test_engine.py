@@ -411,9 +411,19 @@ class TestFrequencyClasses:
         state = EngineState(palindrome_pair_word(64))
         find_violation(state)
         assert state.classes is None
-        # a long segment with one left cut after round one is queried
+        # a long segment with one left cut after round one could be queried,
+        # but its 200 positions cost less than a build reads (n + m = 203),
+        # so it is scanned
         state = drive("ab" * 100 + "c")
+        assert state.classes is None and state.rent_due == 3
+        # wn (k = 64) has such a segment in every round: the first is
+        # scanned, and the second, which would take the scans past a
+        # build's 192 reads, builds the lists and is queried
+        state = EngineState(palindrome_pair_word(64))
+        while (a := find_violation(state)) is not None:
+            expand_letter(state, a)
         assert state.classes is not None
+        assert [r.scanned for r in state.rounds[:3]] == [64, 127, 3]
 
 
 def test_round_records_replay_the_cut_lists_of_each_round():

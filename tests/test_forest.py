@@ -384,3 +384,33 @@ def test_lone_cuts_join_each_log_once():
     assert f.flags[0] == SIDE_BIT["L"] | SIDE_BIT["R"]
     assert f.flags[1] == SIDE_BIT["L"]
     assert [c for c in range(9) if f.flags[c]] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 8])
+def test_flag_ends_matches_four_set_flag_calls(n):
+    # one call leaves what four set_flag and two flagged_cuts calls leave
+    # on a new forest, and returns the live sorted lists
+    stepwise, seeded = SyncForest(n), SyncForest(n)
+    for side in "LR":
+        stepwise.set_flag(0, side)
+        stepwise.set_flag(n, side)
+    lists = (stepwise.flagged_cuts("L"), stepwise.flagged_cuts("R"))
+    left, right = seeded.flag_ends()
+    assert (left, right) == lists == ([0, n] if n else [0],) * 2
+    assert left is seeded.flagged_cuts("L") and right is seeded.flagged_cuts("R")
+    assert seeded.log == stepwise.log and seeded.flags == stepwise.flags
+    assert seeded.log["L"] is not seeded.log["R"] and left is not right
+    # flags sit only at roots
+    assert all(seeded.parent[c] == c for c in range(n + 1) if seeded.flags[c])
+
+
+def test_flag_ends_refuses_a_flagged_or_merged_end():
+    f = SyncForest(4)
+    f.set_flag(2, "L")
+    with pytest.raises(ValueError):
+        f.flag_ends()
+    f = SyncForest(4)
+    f.add_star((0, 2), 0, 1)
+    f.recompress()
+    with pytest.raises(ValueError):
+        f.flag_ends()
