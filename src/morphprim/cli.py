@@ -57,8 +57,12 @@ def _decoded(texts: Iterable[str]) -> Iterator[str]:
 
 
 def _lines(source) -> Iterator[str]:
-    """Lines of ``source`` without newlines, read one at a time."""
-    return _decoded(line.rstrip("\n") for line in source)
+    """Lines of ``source`` without their line ends, read one at a time.
+
+    A line ends at ``\n``, or at ``\r\n``: the ``\r`` of a CRLF file is
+    not part of its word, on stdin as in a file.
+    """
+    return _decoded(line.removesuffix("\n").removesuffix("\r") for line in source)
 
 
 def _render(word: Word, letters: Iterable[int], tokens: bool) -> str:
@@ -161,7 +165,16 @@ def cmd_factorize(word: str, tokens: bool, as_json: bool):
 @click.argument("word")
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
 def cmd_trace(word: str, tokens: bool):
-    """Print the full round-by-round trace as JSON."""
+    """Print the full round-by-round trace as JSON.
+
+    \b
+    Its counters, each summed over the run:
+    positions_scanned    positions the violation scan reads, and its queries' probes
+    neighborhood_visits  positions a step-by-step neighborhood walk would read (a model)
+    edges_added          synchronization edges added to the forest
+    recompress_cells     cuts recompression points at a new root
+    loop_checks          violation checks: one per round, plus the last
+    """
     w = parse_word(next(_decoded((word,))), tokens)
     click.echo(_dump(trace_document(w, run(w), tokens)))
 
@@ -252,8 +265,8 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
 
     The counters are positions read by the violation scan (scanned), the
     positions a step-by-step neighborhood walk would read (visits),
-    synchronization edges added (edges) and cells touched by recompression
-    (cells), summed over the run.
+    synchronization edges added (edges) and cuts recompression points at a
+    new root (cells), summed over the run.
     """
     if family and path is not None:
         raise click.UsageError("choose one of --family wn and --file")
@@ -265,7 +278,9 @@ def cmd_bench(family, n_max, path, tokens, as_csv):
     elif path is not None:
         _refuse_stray("--file", {"--n-max": n_max})
         try:
-            source = nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
+            # split at "\n" only, as stdin is, so both read a file alike
+            source = (nullcontext(sys.stdin) if path == "-"
+                      else open(path, encoding="utf-8", newline="\n"))
         except OSError as exc:
             click.echo(f"error: cannot open {path}: {exc}", err=True)
             sys.exit(3)

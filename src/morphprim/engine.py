@@ -18,13 +18,15 @@ could answer are scanned until the positions they would read reach what the
 build reads (``n + m``), and only then are the lists built and queried, so
 a word pays for a build only after its scans have cost as much.  A
 neighborhood walk counts at most ``2n`` positions (``visits``, below); fewer
-than ``2n`` synchronization edges are added; and recompression walks only
-the edges and the cuts whose root changed.  Each cut joins the left and the
-right cut list at most once per run, and the engine reads the forest's two
-sorted lists in place, so no round copies them: a round's record keeps the
-lengths of the forest's join logs, from which its cut sets are rebuilt only
-when they are read.  The factor cuts are the ends of the image blocks,
-found from the occurrences of the expanding letters.
+than ``2n`` synchronization edges are added; and recompression checks each
+edge once and points a cut at a new root only when its component at least
+doubles, so at most ``(N / 2) * log2(N)`` times per run over ``N = n + 1``
+cuts.  Each cut joins the left and the right cut list at most once per run,
+and the engine reads the forest's two sorted lists in place, so no round
+copies them: a round's record keeps the lengths of the forest's join logs,
+from which its cut sets are rebuilt only when they are read.  The factor
+cuts are the ends of the image blocks, found from the occurrences of the
+expanding letters.
 
 ``scanned`` counts the positions read by suffix scans, plus one per
 occurrence list a query probes and one per letter a query reads.  A query

@@ -1,9 +1,10 @@
 """Synchronization forest over cuts.
 
 Connected components of cuts are kept as a forest of rooted trees of height
-one: every cut points directly at its root, the smallest cut of its
-component, so membership queries are O(1).  Each component also threads its
-members on a circular list (``next``); a lone cut, the only member of its
+one: every cut points directly at its root, so membership queries are O(1).
+Which cut of a component is its root depends on the order of the merges;
+nothing reads it but the forest.  Each component also threads its members
+on a circular list (``next``); a lone cut, the only member of its
 component, is its own successor.  Each root carries two flag bits in one
 byte (``flags``: ``SIDE_BIT["L"]`` and ``SIDE_BIT["R"]``) recording whether
 the cuts of its component belong to the left-cut set and the right-cut set.
@@ -16,13 +17,13 @@ no earlier state needs a copy.
 
 New edges are buffered as stars, each tying the cuts around every
 occurrence of a letter to the same cuts around its first occurrence, and
-merged in place at the next recompression: union-find with path halving and
-linking by smallest root, then a walk over the members of each component
-with more than one member that was linked away, which points them at their
-new root and restores height one.  The work of a recompression is
-proportional to the edges and the cuts whose root changed, not to ``n``:
-its count of cells is one per root-search hop, plus one per link, plus one
-per cut a walk relabels.
+merged in place at the next recompression by weighted quick-find: an edge
+between two components points every member of the smaller one at the
+larger one's root, so height one holds after every edge and no root is
+searched for.  The count of cells is one per cut pointed at a new root.
+A cut is pointed at a new root only when its component at least doubles,
+so a run over ``N = n + 1`` cuts counts at most ``(N / 2) * log2(N)``
+cells; see ``SyncForest.recompress``.
 """
 
 from __future__ import annotations
@@ -123,34 +124,27 @@ class SyncForest:
         return (len(occ) - 1) * (hi - lo)
 
     def recompress(self) -> int:
-        """Merge buffered stars in place and restore height one.
+        """Merge the buffered stars in place, one edge at a time.
 
         The new components are the connected closure of the old components
-        plus the edges of the pending stars, taken occurrence by occurrence
-        and, within one, by increasing offset.  Each occurrence reads its
-        cuts' parents and the first occurrence's as two slices; from each
-        pair of parents the roots are found with path halving (a parent read
-        earlier is still an ancestor, as links only hang roots under roots).
-        The larger root is linked under the smaller one, which takes over
-        its flags, and their member lists are spliced.  If exactly one of
-        the two carried a side's flag, the members of the other join that
-        side.  A lone cut linked away already points at its root and lies on
-        its list, so nothing more is done for it.  The members any other
-        root brings along stay in one run of the spliced list, from its old
-        successor up to the root itself; at the end the run of each such
-        root linked directly under a surviving root is walked and pointed at
-        it, which leaves every cut pointing at the smallest cut of its
-        component.
+        plus the edges of the pending stars.  As the forest has height one,
+        ``parent`` gives each end's root at once; an edge whose ends share a
+        root is skipped.  Otherwise both member lists are walked one step at
+        a time until one of them closes, which names the smaller component
+        (of two the same size, the second end's) without storing any sizes.
+        If exactly one of the two roots carries a side's flag, the members
+        of the other component join that side; the larger root takes over
+        both roots' flags.  Every member of the smaller component, its root
+        included, is then pointed at the larger root, and the two lists are
+        spliced, so height one holds again after every edge.
 
-        Returns the number of cells touched: one per parent hop in the root
-        searches past the parent read from a slice, one per link and one per
-        cut a walk relabels (links and relabels are each at most ``n``, as
-        cut 0 is always a root).  Linking by index with path halving is not
-        linear in the worst case (the searches can cost a logarithmic factor
-        per edge), so ``8n + 2`` is a measured bound, not a proven one.  The
-        largest count per engine round seen is 0.26 of it over all words of
-        length <= 9 on 4 letters, 0.19 on random words up to 20 000 letters
-        and 0.13 on periodic words.
+        Returns the number of cells: one per cut pointed at a new root.  The
+        walk that compares the sizes takes fewer steps than that, so a
+        recompress does at most twice its cells in work, plus one parent
+        check per edge.  A cut is pointed at a new root only when its
+        component at least doubles, so the cells of a whole run over
+        ``N = n + 1`` cuts are at most ``(N / 2) * log2(N)``, which merging
+        equal components pairwise reaches exactly.
         """
         pending = self.pending
         if not pending:
@@ -158,71 +152,45 @@ class SyncForest:
         parent, nxt, flags = self.parent, self.next, self.flags
         log_l, log_r = self.log["L"], self.log["R"]
         join = self._join
-        hops = linked = 0
-        # per link of a root with other members, flat: the root linked
-        # away, its old successor, the root it was linked under
-        links: list[int] = []
+        cells = 0
         for occ, lo, hi in pending:
             first = occ[0]
-            start, stop = first + lo, first + hi
             for k in islice(occ, 1, None):
                 shift = k - first
-                # the slices hold the forest's own ints, so no int made for
-                # an edge is kept in parent or links
-                for u, v in zip(parent[start:stop], parent[start + shift:stop + shift]):
-                    while parent[u] != u:
-                        parent[u] = parent[parent[u]]
-                        u = parent[u]
-                        hops += 1
-                    while parent[v] != v:
-                        parent[v] = parent[parent[v]]
-                        v = parent[v]
-                        hops += 1
+                for c in range(first + lo, first + hi):
+                    u, v = parent[c], parent[c + shift]
                     if u == v:
                         continue
-                    if v < u:
+                    # walk both lists until one closes, then let v name the
+                    # smaller; v's is tested first, as the later occurrence's
+                    # component is usually the smaller one
+                    a, b = nxt[u], nxt[v]
+                    while b != v and a != u:
+                        a, b = nxt[a], nxt[b]
+                    if b != v:
                         u, v = v, u
-                    parent[v] = u
-                    linked += 1
                     fu, fv = flags[u], flags[v]
-                    if fu | fv:
-                        if fu != fv:
-                            # a side whose bit (SIDE_BIT: 1 for L, 2 for R)
-                            # is set at one root only gains the other's
-                            # members
-                            if (fu ^ fv) & 1:
-                                c = v if fu & 1 else u
-                                if nxt[c] == c:
-                                    log_l.append(c)
-                                else:
-                                    join(c, log_l)
-                            if (fu ^ fv) & 2:
-                                c = v if fu & 2 else u
-                                if nxt[c] == c:
-                                    log_r.append(c)
-                                else:
-                                    join(c, log_r)
-                            flags[u] = fu | fv
-                        flags[v] = 0
-                    c = nxt[v]
-                    nxt[u], nxt[v] = c, nxt[u]
-                    if c != v:
-                        links += (v, c, u)
+                    if fu != fv:
+                        # a side whose bit (SIDE_BIT: 1 for L, 2 for R) is
+                        # set at one root only gains the other's members
+                        if (fu ^ fv) & 1:
+                            join(v if fu & 1 else u, log_l)
+                        if (fu ^ fv) & 2:
+                            join(v if fu & 2 else u, log_r)
+                        flags[u] = fu | fv
+                    flags[v] = 0
+                    parent[v] = u
+                    cells += 1
+                    # splice, then walk v's old list from its successor
+                    x = nxt[v]
+                    nxt[u], nxt[v] = x, nxt[u]
+                    while x != v:
+                        parent[x] = u
+                        x = nxt[x]
+                        cells += 1
         # emptied in place, so the stars are freed now, not at return
         pending.clear()
-        relabeled = 0
-        # a root linked under a root that was itself linked away lies
-        # inside the latter's run, so only runs under survivors are walked
-        records = iter(links)
-        for v, c, u in zip(records, records, records):
-            if parent[u] != u:
-                continue
-            # v itself was linked to u and stayed there
-            while c != v:
-                parent[c] = u
-                c = nxt[c]
-                relabeled += 1
-        return hops + linked + relabeled
+        return cells
 
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts whose component carries the flag, ascending.

@@ -3,6 +3,8 @@ against, and exhaustive stability/fixed-point audits."""
 
 from __future__ import annotations
 
+from math import log2
+
 import pytest
 from hypothesis import settings
 
@@ -176,12 +178,13 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     is queried only when (d + 1) * q is less than its length, so no segment
     costs more than its length.  Neighborhood computation reads at most 2n
     positions, fewer than 2n synchronization edges are added, and
-    recompression touches at most 8n + 2 cells.  A cell is one root-search
-    hop past the parent a search starts from, one link of a root under
-    another, or one cut a relabel walk points at a new root (at most n
-    links and n relabels); with linking by index and path halving the hops
-    are not linear in the worst case, so this bound is a measured one, not
-    a proven one (see ``SyncForest.recompress``).
+    recompression counts at most 8n + 2 cells, a bound that is measured,
+    not proven.
+
+    Whole run: a cell is one cut pointed at a new root, which happens only
+    when the cut's component at least doubles, so the cells of a run over
+    N = n + 1 cuts are at most (N / 2) * log2(N), a proven bound (see
+    ``SyncForest.recompress``).
     """
     n = w.n
     e = len(result.expanding)
@@ -193,6 +196,7 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     assert result.round_count == e
     assert result.counters.loop_checks == e + 1
     assert result.counters.scanned <= (e + 1) * n
+    assert result.counters.cells <= (n + 1) / 2 * log2(n + 1)
 
 
 @pytest.fixture(scope="session")

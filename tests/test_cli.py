@@ -98,6 +98,13 @@ class TestCheck:
         assert res.returncode == 0
         assert res.stdout == "aéa\timprimitive\n".encode()
 
+    @pytest.mark.parametrize("env", STDIN_ENVS)
+    def test_crlf_stdin_lines(self, env):
+        # the \r of a CRLF line end is not part of the word
+        res = run_cli(["check"], b"aa\r\nabba\r\nabaaba", env)
+        assert res.returncode == 0
+        assert res.stdout == b"aa\tprimitive\nabba\tprimitive\nabaaba\timprimitive\n"
+
     def test_stdin_is_read_lazily(self):
         # the first word is decided before the failing second read
         res = invoke("check", input=FailingAfter(b"abaaba\n"))
@@ -278,9 +285,10 @@ class TestBench:
             assert (n, m) == (2 * k, k)
             assert rounds == e == k  # primitive family: one round per letter
         # aa: run()'s counters scanned, visits, edges, cells, one per column;
-        # round 1 reads its one letter from the index, and the last check
-        # reads nothing once every letter expands
-        assert lines[1].split(",")[4:8] == ["1", "1", "2", "3"]
+        # round 1 reads its one letter from the index, the last check reads
+        # nothing once every letter expands, and each of the two edges
+        # points one lone cut at a new root
+        assert lines[1].split(",")[4:8] == ["1", "1", "2", "2"]
 
     def test_file_input_with_empty_word(self, tmp_path):
         path = tmp_path / "words.txt"
@@ -294,6 +302,23 @@ class TestBench:
         res = invoke("bench", "--file", "-", "--csv", input="abba\n")
         assert res.exit_code == 0
         assert len(res.output.splitlines()) == 2
+
+    def test_crlf_file_and_stdin_give_the_same_rows(self, tmp_path):
+        # a CRLF file gives the rows of its LF form, read from a path or
+        # from stdin; a lone \r inside a line is part of its word on both
+        path = tmp_path / "words.txt"
+        data = b"abaaba\r\nab\rba\r\n\r\nabba"
+        path.write_bytes(data)
+
+        def rows(args, stdin=b""):
+            res = run_cli(["bench", *args, "--csv"], stdin, {})
+            assert res.returncode == 0
+            return [line.split(b",")[:-1] for line in res.stdout.splitlines()]
+
+        from_path = rows(["--file", str(path)])
+        assert from_path == rows(["--file", "-"], data)
+        assert from_path == rows(["--file", "-"], data.replace(b"\r\n", b"\n"))
+        assert [row[0] for row in from_path[1:]] == [b"6", b"5", b"0", b"4"]
 
     def test_table_matches_csv(self):
         args = ("bench", "--family", "wn", "--n-max", "3")

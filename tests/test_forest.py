@@ -12,11 +12,40 @@ from morphprim.forest import SIDE_BIT
 
 
 def components(f):
-    """Current components as sorted cut lists, smallest root first."""
+    """Current components as sorted cut lists, ordered by smallest member."""
     groups: dict[int, list[int]] = {}
     for c, root in enumerate(f.parent):
         groups.setdefault(root, []).append(c)
-    return [groups[r] for r in sorted(groups)]
+    return sorted(groups.values())
+
+
+def member_cycle(f, root):
+    cycle, c = [root], f.next[root]
+    while c != root:
+        cycle.append(c)
+        c = f.next[c]
+    return cycle
+
+
+def assert_forest(f):
+    """The forest's invariants, whichever cut is a component's root: height
+    one, so one root per component and that root among its members; every
+    member on its root's cycle; flags only at roots, as the two side bits;
+    and each log holding each flagged cut once.  Reads no sorted list, so
+    the order of ``flagged_cuts`` calls stays the caller's."""
+    parent = f.parent
+    assert all(parent[root] == root for root in parent)
+    groups: dict[int, list[int]] = {}
+    for c, root in enumerate(parent):
+        groups.setdefault(root, []).append(c)
+    for root, members in groups.items():
+        assert sorted(member_cycle(f, root)) == members
+    assert all(f.flags[c] == 0 for c in range(f.n + 1) if parent[c] != c)
+    assert set(f.flags) <= {0, 1, 2, 3}
+    for side in "LR":
+        log = f.log[side]
+        assert len(set(log)) == len(log)
+        assert sorted(log) == [c for c in range(f.n + 1) if flagged(f, c, side)]
 
 
 def flagged(f, c, side):
@@ -50,7 +79,7 @@ def test_find_transitive_closure():
     f = SyncForest(6)
     f.add_star((0, 3, 6), 0, 1)
     f.recompress()
-    assert f.parent[6] == f.parent[0] == 0
+    assert components(f) == [[0, 3, 6], [1], [2], [4], [5]]
     assert f.parent[5] == 5
 
 
@@ -95,7 +124,7 @@ def test_add_star_buffered_until_recompress():
     assert f.add_star((0, 3), 0, 1) == 1
     assert f.parent[3] == 3
     f.recompress()
-    assert f.parent[3] == 0
+    assert f.parent[3] == f.parent[0]
 
 
 @pytest.mark.parametrize("star", [
@@ -169,19 +198,36 @@ def test_height_one_and_flags_at_roots():
     f.add_star((2, 3, 4), 0, 1)
     f.set_flag(9, "L")
     f.recompress()
-    for c in range(11):
-        assert f.parent[f.parent[c]] == f.parent[c]
-    for c in range(11):
-        if f.parent[c] != c:
-            assert not f.flags[c]
+    assert components(f) == [[0, 5, 9], [1], [2, 3, 4], [6], [7], [8], [10]]
+    assert_forest(f)
 
 
-def test_smallest_cut_is_root():
+def test_star_merges_one_component_with_one_root():
     f = SyncForest(8)
+    f.set_flag(5, "R")
     f.add_star((7, 2, 5), 0, 1)  # (7, 2), (7, 5)
     f.recompress()
-    assert f.parent[7] == 2
-    assert f.parent[5] == 2
+    assert components(f) == [[0], [1], [2, 5, 7], [3], [4], [6], [8]]
+    assert f.flagged_cuts("R") == [2, 5, 7]
+    assert_forest(f)
+
+
+@pytest.mark.parametrize("j", [0, 1, 4, 10])
+def test_balanced_merges_reach_the_run_bound(j):
+    # N = 2^j cuts merged pairwise, level by level: every merge joins two
+    # components of the same size, so each cut is relabeled once per level
+    # and the cells total exactly (N / 2) * log2(N), the bound of a run
+    big = 1 << j
+    f = SyncForest(big - 1)
+    cells = 0
+    for level in range(j):
+        width = 1 << level
+        for c in range(0, big, 2 * width):
+            f.add_star((c, c + width), 0, 1)
+        cells += f.recompress()
+    assert cells == big // 2 * j
+    assert components(f) == [list(range(big))]
+    assert_forest(f)
 
 
 def test_flag_set_before_recompress_survives_merge():
@@ -210,17 +256,10 @@ def test_recompress_long_chain(order):
         f.add_star((c, c + 1), 0, 1)
     cells = f.recompress()
     assert cells <= 8 * n + 2
-    assert all(p == 0 for p in f.parent)  # root is the smallest cut, height one
+    assert components(f) == [list(range(n + 1))]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
-    assert [c for c in range(n + 1) if f.flags[c]] == [0]
-
-
-def member_cycle(f, root):
-    cycle, c = [root], f.next[root]
-    while c != root:
-        cycle.append(c)
-        c = f.next[c]
-    return cycle
+    assert [c for c in range(n + 1) if f.flags[c]] == [f.parent[0]]
+    assert_forest(f)
 
 
 @st.composite
@@ -264,7 +303,7 @@ def test_incremental_lists_match_brute_force(n, steps):
     # flags, merges and reads come in; the join log must hold each flagged
     # cut exactly once, and flagged_cuts must return the same list object
     # every time; the components must be those of a naive closure over the
-    # stars' edges, and the member cycles must partition the cuts the same
+    # stars' edges, each with one root whose member cycle holds them all
     f = SyncForest(n)
     lists = {side: f.flagged_cuts(side) for side in "LR"}
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
@@ -297,10 +336,7 @@ def test_incremental_lists_match_brute_force(n, steps):
             read(step[1])
         comps = components(f)
         assert comps == components(SimpleNamespace(parent=label))
-        assert [sorted(member_cycle(f, comp[0])) for comp in comps] == comps
-        # flags sit at roots only, as the two side bits
-        assert all(f.flags[c] == 0 for c in range(n + 1) if f.parent[c] != c)
-        assert set(f.flags) <= {0, 1, 2, 3}
+        assert_forest(f)
     read("L")
     read("R")
 
@@ -339,22 +375,23 @@ def test_add_star_out_of_range_buffers_nothing():
 
 
 def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
-    # (3, 5) links the lone cut 5 under 3, which records nothing for the
-    # relabel walk; (1, 3) then links 3 away under 1, and the walk of 3's
-    # run must carry 5 along to 1
+    # (3, 5) merges the lone cuts 3 and 5; (1, 3) then merges the lone cut
+    # 1 with {3, 5} in the same recompress, and all three must end under
+    # one root that carries 5's flag
     f = SyncForest(6)
     f.set_flag(5, "L")
     f.add_star((3, 5), 0, 1)
     f.add_star((1, 3), 0, 1)
-    cells = f.recompress()
+    f.recompress()
     assert components(f) == [[0], [1, 3, 5], [2], [4], [6]]
-    assert f.parent[5] == f.parent[3] == 1
-    assert sorted(member_cycle(f, 1)) == [1, 3, 5]
-    # the flag of 5 passed to 3, then to 1, each joining L once
-    assert f.log["L"] == [5, 3, 1]
-    assert f.flags[1] == SIDE_BIT["L"] and not f.flags[3] and not f.flags[5]
-    # no hop past a slice's parent, two links, one cut relabeled (5)
-    assert cells == 3
+    root = f.parent[1]
+    assert f.parent[3] == f.parent[5] == root
+    assert sorted(member_cycle(f, root)) == [1, 3, 5]
+    # each of the three joined L once
+    assert sorted(f.log["L"]) == [1, 3, 5]
+    assert f.flags[root] == SIDE_BIT["L"]
+    assert [c for c in range(7) if f.flags[c]] == [root]
+    assert_forest(f)
 
 
 def test_lone_cuts_join_each_log_once():
@@ -365,25 +402,26 @@ def test_lone_cuts_join_each_log_once():
     f.set_flag(3, "L")
     f.set_flag(0, "L")
     f.set_flag(0, "R")
-    # the flagged lone cut 0 takes in the unflagged {2, 4}; the unflagged
-    # lone cut 5 is linked under the L-only {3, 7}; the unflagged lone cut
-    # 1 takes in {3, 5, 7} and joins L
+    # the flagged lone cut 0 merges with the unflagged {2, 4}; the
+    # unflagged lone cut 5 merges with the L-only {3, 7}; the unflagged
+    # lone cut 1 then merges with {3, 5, 7} and joins L
     f.add_star((0, 2), 0, 1)
     f.add_star((3, 5), 0, 1)
     f.recompress()
-    assert f.log["L"] == [3, 7, 0, 2, 4, 5]
-    assert f.log["R"] == [0, 2, 4]
+    assert sorted(f.log["L"]) == [0, 2, 3, 4, 5, 7]
+    assert sorted(f.log["R"]) == [0, 2, 4]
     f.add_star((1, 3), 0, 1)
     f.recompress()
-    assert f.log["L"] == [3, 7, 0, 2, 4, 5, 1]
+    assert f.log["L"][6:] == [1] and len(f.log["R"]) == 3
     for side in "LR":
         log = f.log[side]
         assert len(set(log)) == len(log)
         assert sorted(log) == f.flagged_cuts(side)
     assert components(f) == [[0, 2, 4], [1, 3, 5, 7], [6], [8]]
-    assert f.flags[0] == SIDE_BIT["L"] | SIDE_BIT["R"]
-    assert f.flags[1] == SIDE_BIT["L"]
-    assert [c for c in range(9) if f.flags[c]] == [0, 1]
+    assert f.flags[f.parent[0]] == SIDE_BIT["L"] | SIDE_BIT["R"]
+    assert f.flags[f.parent[1]] == SIDE_BIT["L"]
+    assert [c for c in range(9) if f.flags[c]] == sorted({f.parent[0], f.parent[1]})
+    assert_forest(f)
 
 
 @pytest.mark.parametrize("n", [0, 1, 8])
