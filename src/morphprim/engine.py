@@ -21,12 +21,13 @@ neighborhood walk counts at most ``2n`` positions (``visits``, below); fewer
 than ``2n`` synchronization edges are added; and recompression checks each
 edge once and points a cut at a new root only when its component at least
 doubles, so at most ``(N / 2) * log2(N)`` times per run over ``N = n + 1``
-cuts.  Each cut joins the left and the right cut list at most once per run,
-and the engine reads the forest's two sorted lists in place, so no round
-copies them: a round's record keeps the lengths of the forest's join logs,
-from which its cut sets are rebuilt only when they are read.  The factor
-cuts are the ends of the image blocks, found from the occurrences of the
-expanding letters.
+cuts.  Each cut joins the left and the right cut list at most once per run.
+The forest logs the cuts in the order they join; the engine keeps its own
+sorted L/R lists, which it scans and bisects, and takes into them only the
+logs' new tails, once per round.  No round copies a list: a round's record
+keeps the lengths of the forest's join logs, from which its cut sets are
+rebuilt only when they are read.  The factor cuts are the ends of the image
+blocks, found from the occurrences of the expanding letters.
 
 ``scanned`` counts the positions read by suffix scans, plus one per
 occurrence list a query probes and one per letter a query reads.  A query
@@ -45,26 +46,13 @@ letter with one occurrence counts ``n - 1`` though nothing is compared.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .forest import SyncForest
-from .words import Neighborhood, PosIndex, Word, build_index, neighborhood
-
-
-class Morphism(NamedTuple):
-    """Letter-to-word map; letters outside ``expanding`` map to the empty word."""
-
-    expanding: frozenset[int]
-    images: tuple[tuple[int, ...], ...]
-
-    def apply(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for a in letters:
-            out.extend(self.images[a])
-        return tuple(out)
+from .words import Morphism, Neighborhood, PosIndex, Word, build_index, neighborhood
 
 
 class RoundRecord(NamedTuple):
@@ -133,10 +121,11 @@ class EngineState:
         self.index = build_index(word)
         self.expanding: set[int] = set()
         self.forest = forest = SyncForest(n)
-        # extremal cuts are always both left and right; the forest's live
-        # sorted L/R lists, brought up to date once per round after
-        # recompression
-        self.left_cuts, self.right_cuts = forest.flag_ends()
+        # the L/R cuts ascending, the engine's own lists: they start as the
+        # forest's extremal cuts and take in the join logs' new tails once
+        # per round (see expand_letter)
+        self.left_cuts = forest.flagged_cuts("L")
+        self.right_cuts = forest.flagged_cuts("R")
         # no left cut below this cut violates the minimal-frequency condition
         self.scan_from = 0
         # seg_best[i]: the letter at the leftmost least-frequent index from i
@@ -332,21 +321,22 @@ def expand_letter(state: EngineState, a: int) -> None:
     forest.set_flag(first, "R")
     forest.set_flag(first + nb.right_len, "L")
     forest.set_flag(first - nb.left_len - 1, "R")
-    left, right = state.left_cuts, state.right_cuts
-    old_l, old_r = len(left), len(right)
-    forest.flagged_cuts("L")
-    forest.flagged_cuts("R")
 
     # rescan from the first left cut that is new or whose right cut may have
     # moved: the smallest new L cut, and the old R cut just below the
     # smallest new R cut (every left cut above it may now stop earlier; no
     # new R cut lies below it)
     log = forest.log
-    if len(left) > old_l:
-        state.scan_from = min(state.scan_from, min(log["L"][old_l:]))
-    if len(right) > old_r:
-        below = right[bisect_left(right, min(log["R"][old_r:])) - 1]
+    left, right = state.left_cuts, state.right_cuts
+    new = log["L"][len(left):]
+    if new:
+        state.scan_from = min(state.scan_from, min(new))
+        merge_cuts(left, new)
+    new = log["R"][len(right):]
+    if new:
+        below = right[bisect_left(right, min(new)) - 1]
         state.scan_from = min(state.scan_from, below)
+        merge_cuts(right, new)
 
     state.expanding.add(a)
     state.counters.visits += nb.visited
@@ -356,6 +346,25 @@ def expand_letter(state: EngineState, a: int) -> None:
         len(state.rounds) + 1, a, nb, state.last_scan, edges, cells,
         log, len(left), len(right),
     ))
+
+
+# a tail of at most this many new cuts is inserted one by one: a sort first
+# walks the whole list to find its runs, and in a micro-benchmark (CPython
+# 3.11, lists of 8 to 2 048 cuts) it was never faster for up to 4 new cuts,
+# while a long tail on a short list sorts faster
+SHORT_TAIL = 4
+
+
+def merge_cuts(cuts: list[int], new: list[int]) -> None:
+    """Merge ``new``, cuts in any order and none of them in ``cuts``, into
+    the ascending list ``cuts`` in place."""
+    if len(new) > SHORT_TAIL:
+        # two sorted runs, which the sort merges in one pass
+        cuts += sorted(new)
+        cuts.sort()
+    else:
+        for c in new:
+            insort(cuts, c)
 
 
 def image(state: EngineState, a: int) -> tuple[int, ...]:

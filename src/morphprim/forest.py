@@ -8,12 +8,14 @@ on a circular list (``next``); a lone cut, the only member of its
 component, is its own successor.  Each root carries two flag bits in one
 byte (``flags``: ``SIDE_BIT["L"]`` and ``SIDE_BIT["R"]``) recording whether
 the cuts of its component belong to the left-cut set and the right-cut set.
-A component's members join a side only when the component gains the flag,
-so every cut joins each side at most once per run.  Each side appends its
-cuts to a join log (``log``) in the order they join, and keeps one sorted
-list of them that takes in the log's new tail when it is read.  Sorted, a
-prefix of the log is the side as it stood when the log had that length, so
-no earlier state needs a copy.
+A new forest has cuts ``0`` and ``n`` flagged on both sides, as the
+extremal cuts of a word are always left and right cuts.  A component's
+members join a side only when the component gains the flag, so every cut
+joins each side at most once per run.  Each side appends its cuts to a
+join log (``log``) in the order they join; sorted, a prefix of the log is
+the side as it stood when the log had that length, so no earlier state
+needs a copy, and a reader that keeps its own sorted list takes in only
+the log's new tail.
 
 New edges are buffered as stars, each tying the cuts around every
 occurrence of a letter to the same cuts around its first occurrence, and
@@ -28,7 +30,6 @@ cells; see ``SyncForest.recompress``.
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import islice
 from typing import Literal, Sequence
 
@@ -36,12 +37,6 @@ Side = Literal["L", "R"]
 
 # the bit of each side in a root's flag byte; any other side is a KeyError
 SIDE_BIT = {"L": 1, "R": 2}
-
-# a tail of at most this many new cuts is inserted one by one: a sort first
-# walks the whole list to find its runs, and in a micro-benchmark (CPython
-# 3.11, lists of 8 to 2 048 cuts) it was never faster for up to 4 new cuts,
-# while a long tail on a short list sorts faster
-SHORT_TAIL = 4
 
 
 class SyncForest:
@@ -55,12 +50,13 @@ class SyncForest:
         # next[c]: the member after c on its component's circular list
         self.next = self.parent[:]
         # per-root side flags, SIDE_BIT["L"] | SIDE_BIT["R"] at most; zero
-        # at every cut that is not a root
+        # at every cut that is not a root.  Cuts 0 and n start on both
+        # sides: |f(empty prefix)| = 0 and |f(w)| = n for every f
         self.flags = bytearray(n + 1)
-        # per side: every flagged cut once, in the order it joined, and the
-        # log's first len(_cuts[side]) cuts ascending
-        self.log: dict[str, list[int]] = {"L": [], "R": []}
-        self._cuts: dict[str, list[int]] = {"L": [], "R": []}
+        self.flags[0] = self.flags[n] = SIDE_BIT["L"] | SIDE_BIT["R"]
+        # per side: every flagged cut once, in the order it joined
+        ends = [0, n] if n else [0]
+        self.log: dict[str, list[int]] = {"L": ends, "R": ends[:]}
         # buffered stars: (occurrences, lo, hi), see add_star
         self.pending: list[tuple[Sequence[int], int, int]] = []
 
@@ -88,25 +84,6 @@ class SyncForest:
         if not f & bit:
             flags[root] = f | bit
             self._join(root, self.log[side])
-
-    def flag_ends(self) -> tuple[list[int], list[int]]:
-        """Flag cuts ``0`` and ``n`` on both sides in one step, and return
-        the sorted L and R lists (see ``flagged_cuts``).
-
-        Needs a forest with no flags in which cuts ``0`` and ``n`` are each
-        alone in their component, as in a new one; then it leaves the
-        forest as ``set_flag(0, side)``, ``set_flag(n, side)`` and
-        ``flagged_cuts(side)`` for both sides would: both logs and both
-        lists are ``[0, n]`` (``[0]`` when ``n = 0``).
-        """
-        log, cuts, nxt, n = self.log, self._cuts, self.next, self.n
-        if log["L"] or log["R"] or nxt[0] != 0 or nxt[n] != n:
-            raise ValueError("flag_ends needs no flags and cuts 0 and n alone")
-        self.flags[0] = self.flags[n] = SIDE_BIT["L"] | SIDE_BIT["R"]
-        ends = [0, n] if n else [0]
-        log["L"], log["R"] = ends, ends[:]
-        cuts["L"], cuts["R"] = left, right = ends[:], ends[:]
-        return left, right
 
     def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
         """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
@@ -195,18 +172,8 @@ class SyncForest:
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts whose component carries the flag, ascending.
 
-        Returns the side's live sorted list, the same object on every call:
-        later calls update it in place, and callers must not change it.
-        The cuts that joined since the previous call are the ones past that
-        call's length in ``log[side]``.
+        Sorts the side's join log into a new list on every call, which the
+        caller owns.  A reader that keeps its own sorted list takes in only
+        the log's new tail, ``log[side][len(kept):]``, as the engine does.
         """
-        cuts, log = self._cuts[side], self.log[side]
-        new = len(log) - len(cuts)
-        if new > SHORT_TAIL:
-            # two sorted runs, which the sort merges in one pass
-            cuts += sorted(log[len(cuts):])
-            cuts.sort()
-        elif new:
-            for c in log[len(cuts):]:
-                insort(cuts, c)
-        return cuts
+        return sorted(self.log[side])

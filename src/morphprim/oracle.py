@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .engine import Morphism
-from .words import Word, intern_word, surface_symbol
+from .words import Morphism, Word, intern_word, surface_symbol
 
 DEFAULT_SIZE_GUARD = 16
 

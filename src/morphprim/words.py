@@ -1,4 +1,4 @@
-"""Word representation, occurrence indexing and neighborhoods.
+"""Word representation, occurrence indexing, neighborhoods and morphisms.
 
 Conventions used throughout the package: letters are dense 0-based ids,
 positions in a word are 1-based (``w[1] .. w[n]``), and cuts are 0-based
@@ -85,6 +85,19 @@ def surface_symbol(i: int) -> str:
     if i < 26:
         return chr(ord("a") + i)
     return f"x{i - 25}"
+
+
+class Morphism(NamedTuple):
+    """Letter-to-word map; letters outside ``expanding`` map to the empty word."""
+
+    expanding: frozenset[int]
+    images: tuple[tuple[int, ...], ...]
+
+    def apply(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        out: list[int] = []
+        for a in letters:
+            out.extend(self.images[a])
+        return tuple(out)
 
 
 class PosIndex(NamedTuple):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -19,7 +20,7 @@ from morphprim import (
     run,
     verify,
 )
-from morphprim.engine import alpha_query, frequency_classes
+from morphprim.engine import SHORT_TAIL, alpha_query, frequency_classes, merge_cuts
 from morphprim.oracle import all_words
 
 from conftest import (
@@ -428,7 +429,7 @@ class TestFrequencyClasses:
 
 def test_round_records_replay_the_cut_lists_of_each_round():
     # a round's record rebuilds its cuts from the forest's join logs; they
-    # must equal the live lists the engine read right after that round
+    # must equal the sorted lists the engine kept right after that round
     words = list(all_words(7, 4))
     words += [palindrome_pair_word(k) for k in range(1, 33)]
     words += [random_word(n, a, seed) for n, a, seed in [(50, 2, 0), (400, 3, 1), (2000, 5, 2)]]
@@ -456,3 +457,20 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
     # k = 256 to k = 1024); without copies it grows about linearly
     small, large = palindrome_pair_word(256), palindrome_pair_word(1024)
     assert peak_alloc(large) <= 6 * peak_alloc(small)
+
+
+@pytest.mark.parametrize("k", range(2 * SHORT_TAIL + 2))
+def test_merge_cuts_takes_in_a_tail_in_any_order(k):
+    # k new cuts, inserted one by one up to SHORT_TAIL and sorted in past
+    # it, into lists of several lengths, the tail ascending, descending or
+    # shuffled: the list is changed in place to the sorted union, and the
+    # tail is left as it was
+    rng = random.Random(k)
+    for size in (0, 1, 5, 40):
+        drawn = rng.sample(range(60), size + k)
+        cuts, new = sorted(drawn[:size]), drawn[size:]
+        for tail in (sorted(new), sorted(new, reverse=True), new):
+            merged, given = cuts[:], tail[:]
+            assert merge_cuts(merged, given) is None
+            assert merged == sorted(set(cuts + new))
+            assert given == tail

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morphprim import SyncForest
+from morphprim.engine import merge_cuts
 from morphprim.forest import SIDE_BIT
 
 
@@ -54,10 +55,19 @@ def flagged(f, c, side):
 
 
 def test_new_forest_singletons():
-    f = SyncForest(6)
-    assert components(f) == [[c] for c in range(7)]
-    assert f.flagged_cuts("L") == []
-    assert f.flagged_cuts("R") == []
+    # every cut alone in its component; the extremal cuts, which are left
+    # and right cuts of every word, flagged on both sides and in both logs,
+    # and no other cut flagged
+    for n in (0, 1, 8):
+        f = SyncForest(n)
+        ends = [0, n] if n else [0]
+        assert components(f) == [[c] for c in range(n + 1)]
+        assert all(f.next[c] == c for c in range(n + 1))
+        assert list(f.flags) == [3 if c in (0, n) else 0 for c in range(n + 1)]
+        assert f.log == {"L": ends, "R": ends}
+        assert f.log["L"] is not f.log["R"]
+        assert f.flagged_cuts("L") == f.flagged_cuts("R") == ends
+        assert_forest(f)
 
 
 def test_new_forest_empty_word():
@@ -85,9 +95,9 @@ def test_find_transitive_closure():
 
 def test_set_flag_basic():
     f = SyncForest(6)
-    f.set_flag(0, "L")
-    assert flagged(f, 0, "L")
-    assert not flagged(f, 0, "R")
+    f.set_flag(2, "L")
+    assert flagged(f, 2, "L")
+    assert not flagged(f, 2, "R")
 
 
 def test_set_flag_spreads_over_component():
@@ -105,7 +115,8 @@ def test_set_flag_idempotent():
     f = SyncForest(3)
     f.set_flag(2, "R")
     f.set_flag(2, "R")
-    assert f.flagged_cuts("R") == [2]
+    assert f.flagged_cuts("R") == [0, 2, 3]
+    assert f.log["R"] == [0, 3, 2]
 
 
 def test_unknown_side_is_rejected():
@@ -116,7 +127,8 @@ def test_unknown_side_is_rejected():
         f.set_flag(1, "l")
     with pytest.raises(KeyError):
         f.flagged_cuts("")
-    assert f.flagged_cuts("L") == f.flagged_cuts("R") == []
+    # nothing joined either side
+    assert f.flagged_cuts("L") == f.flagged_cuts("R") == [0, 3]
 
 
 def test_add_star_buffered_until_recompress():
@@ -208,7 +220,7 @@ def test_star_merges_one_component_with_one_root():
     f.add_star((7, 2, 5), 0, 1)  # (7, 2), (7, 5)
     f.recompress()
     assert components(f) == [[0], [1], [2, 5, 7], [3], [4], [6], [8]]
-    assert f.flagged_cuts("R") == [2, 5, 7]
+    assert f.flagged_cuts("R") == [0, 2, 5, 7, 8]
     assert_forest(f)
 
 
@@ -236,7 +248,7 @@ def test_flag_set_before_recompress_survives_merge():
     f.add_star((1, 3), 0, 1)
     f.recompress()
     assert flagged(f, 1, "L")
-    assert f.flagged_cuts("L") == [1, 3]
+    assert f.flagged_cuts("L") == [0, 1, 3, 4]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -300,19 +312,22 @@ ops = st.lists(
 @given(st.integers(0, 12), ops)
 def test_incremental_lists_match_brute_force(n, steps):
     # flagged_cuts must equal a scan of the roots' flags, whatever order
-    # flags, merges and reads come in; the join log must hold each flagged
-    # cut exactly once, and flagged_cuts must return the same list object
-    # every time; the components must be those of a naive closure over the
-    # stars' edges, each with one root whose member cycle holds them all
+    # flags, merges and reads come in, and so must a sorted list kept apart
+    # that takes in the join log's new tail at each read, as the engine's
+    # lists do; the join log must hold each flagged cut exactly once; the
+    # components must be those of a naive closure over the stars' edges,
+    # each with one root whose member cycle holds them all
     f = SyncForest(n)
     lists = {side: f.flagged_cuts(side) for side in "LR"}
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
     def read(side):
         cuts = f.flagged_cuts(side)
-        assert cuts is lists[side]
         assert cuts == [c for c in range(n + 1) if flagged(f, c, side)]
         assert sorted(f.log[side]) == cuts
+        kept = lists[side]
+        merge_cuts(kept, f.log[side][len(kept):])
+        assert kept == cuts
 
     for step in steps:
         if step[0] == "flag":
@@ -342,23 +357,31 @@ def test_incremental_lists_match_brute_force(n, steps):
 
 
 def test_flagged_cuts_reports_joined_cuts():
-    # each joined cut is logged once, in join order; reads merge the log's
-    # new tail into one sorted list
+    # each joined cut is logged once, and the log's first k cuts, sorted,
+    # are the side as it stood when the log had k cuts, which is what a
+    # round's record rebuilds its cut sets from; the order of the cuts that
+    # join in one step is not defined, so only their set is pinned
     f = SyncForest(6)
-    cuts = f.flagged_cuts("L")
+    sides = [f.flagged_cuts("L")]
     f.add_star((1, 4), 0, 1)
     f.recompress()
-    f.set_flag(4, "L")
-    assert f.log["L"] == [1, 4]
-    assert f.flagged_cuts("L") == [1, 4]
+    f.set_flag(4, "L")  # 1 and 4 join together
+    sides.append(f.flagged_cuts("L"))
     f.set_flag(2, "L")
     f.set_flag(4, "L")  # already flagged: joins nothing
-    f.add_star((0, 2), 0, 1)  # 0 joins with 2's flag
+    sides.append(f.flagged_cuts("L"))
+    f.add_star((2, 3), 0, 1)  # 3 joins with 2's flag
     f.recompress()
-    assert f.log["L"] == [1, 4, 2, 0]
-    assert f.flagged_cuts("L") == [0, 1, 2, 4]
-    assert f.flagged_cuts("L") is cuts
-    assert f.log["L"] == [1, 4, 2, 0] and f.log["R"] == []
+    sides.append(f.flagged_cuts("L"))
+    assert sides == [[0, 6], [0, 1, 4, 6], [0, 1, 2, 4, 6], [0, 1, 2, 3, 4, 6]]
+    log = f.log["L"]
+    assert log[:2] == [0, 6] and set(log[2:4]) == {1, 4} and log[4:] == [2, 3]
+    assert [sorted(log[: len(side)]) for side in sides] == sides
+    assert f.log["R"] == [0, 6]
+    # a new list on every call: changing one changes nothing in the forest
+    cuts = f.flagged_cuts("L")
+    cuts.clear()
+    assert f.flagged_cuts("L") == sides[-1] and len(log) == 6
 
 
 def test_add_star_out_of_range_buffers_nothing():
@@ -387,10 +410,10 @@ def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
     root = f.parent[1]
     assert f.parent[3] == f.parent[5] == root
     assert sorted(member_cycle(f, root)) == [1, 3, 5]
-    # each of the three joined L once
-    assert sorted(f.log["L"]) == [1, 3, 5]
+    # each of the three joined L once, after the extremal cuts
+    assert f.log["L"][:2] == [0, 6] and sorted(f.log["L"][2:]) == [1, 3, 5]
     assert f.flags[root] == SIDE_BIT["L"]
-    assert [c for c in range(7) if f.flags[c]] == [root]
+    assert [c for c in range(7) if f.flags[c]] == [0, root, 6]
     assert_forest(f)
 
 
@@ -400,19 +423,18 @@ def test_lone_cuts_join_each_log_once():
     f.add_star((3, 7), 0, 1)  # {3, 7}, to be L only
     f.recompress()
     f.set_flag(3, "L")
-    f.set_flag(0, "L")
-    f.set_flag(0, "R")
-    # the flagged lone cut 0 merges with the unflagged {2, 4}; the
-    # unflagged lone cut 5 merges with the L-only {3, 7}; the unflagged
-    # lone cut 1 then merges with {3, 5, 7} and joins L
+    # the lone cut 0, flagged on both sides from the start, merges with
+    # the unflagged {2, 4}; the unflagged lone cut 5 merges with the L-only
+    # {3, 7}; the unflagged lone cut 1 then merges with {3, 5, 7} and
+    # joins L; the lone cut 8, flagged on both sides, stays alone
     f.add_star((0, 2), 0, 1)
     f.add_star((3, 5), 0, 1)
     f.recompress()
-    assert sorted(f.log["L"]) == [0, 2, 3, 4, 5, 7]
-    assert sorted(f.log["R"]) == [0, 2, 4]
+    assert sorted(f.log["L"]) == [0, 2, 3, 4, 5, 7, 8]
+    assert sorted(f.log["R"]) == [0, 2, 4, 8]
     f.add_star((1, 3), 0, 1)
     f.recompress()
-    assert f.log["L"][6:] == [1] and len(f.log["R"]) == 3
+    assert f.log["L"][7:] == [1] and len(f.log["R"]) == 4
     for side in "LR":
         log = f.log[side]
         assert len(set(log)) == len(log)
@@ -420,35 +442,32 @@ def test_lone_cuts_join_each_log_once():
     assert components(f) == [[0, 2, 4], [1, 3, 5, 7], [6], [8]]
     assert f.flags[f.parent[0]] == SIDE_BIT["L"] | SIDE_BIT["R"]
     assert f.flags[f.parent[1]] == SIDE_BIT["L"]
-    assert [c for c in range(9) if f.flags[c]] == sorted({f.parent[0], f.parent[1]})
+    assert [c for c in range(9) if f.flags[c]] == sorted({f.parent[0], f.parent[1], 8})
+    assert f.flags[8] == SIDE_BIT["L"] | SIDE_BIT["R"]
     assert_forest(f)
 
 
 @pytest.mark.parametrize("n", [0, 1, 8])
 def test_flag_ends_matches_four_set_flag_calls(n):
-    # one call leaves what four set_flag and two flagged_cuts calls leave
-    # on a new forest, and returns the live sorted lists
-    stepwise, seeded = SyncForest(n), SyncForest(n)
+    # a new forest starts with its two ends flagged as four set_flag calls
+    # would flag them on a forest that has no flag yet: same flags, same
+    # logs in the same join order, same flagged lists, flags only at roots
+    ends = [0, n] if n else [0]
+    seeded, stepwise = SyncForest(n), SyncForest(n)
+    stepwise.flags = bytearray(n + 1)
+    stepwise.log = {"L": [], "R": []}
     for side in "LR":
         stepwise.set_flag(0, side)
         stepwise.set_flag(n, side)
-    lists = (stepwise.flagged_cuts("L"), stepwise.flagged_cuts("R"))
-    left, right = seeded.flag_ends()
-    assert (left, right) == lists == ([0, n] if n else [0],) * 2
-    assert left is seeded.flagged_cuts("L") and right is seeded.flagged_cuts("R")
-    assert seeded.log == stepwise.log and seeded.flags == stepwise.flags
-    assert seeded.log["L"] is not seeded.log["R"] and left is not right
-    # flags sit only at roots
+    assert seeded.flags == stepwise.flags
+    assert seeded.log == stepwise.log == {"L": ends, "R": ends}
+    assert seeded.log["L"] is not seeded.log["R"]
+    for side in "LR":
+        assert seeded.flagged_cuts(side) == stepwise.flagged_cuts(side) == ends
     assert all(seeded.parent[c] == c for c in range(n + 1) if seeded.flags[c])
-
-
-def test_flag_ends_refuses_a_flagged_or_merged_end():
-    f = SyncForest(4)
-    f.set_flag(2, "L")
-    with pytest.raises(ValueError):
-        f.flag_ends()
-    f = SyncForest(4)
-    f.add_star((0, 2), 0, 1)
-    f.recompress()
-    with pytest.raises(ValueError):
-        f.flag_ends()
+    # the ends take no second join: flagging them again logs nothing
+    for side in "LR":
+        seeded.set_flag(0, side)
+        seeded.set_flag(n, side)
+    assert seeded.log == stepwise.log
+    assert_forest(seeded)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from morphprim import (
     run,
     verify,
 )
+import morphprim.oracle
 from morphprim.oracle import all_words
 
 
@@ -121,3 +124,20 @@ class TestAgreementWithEngine:
             oracle = min_expanding(w)
             assert res.primitive == (not oracle.proper), w.render()
             assert len(res.expanding) == oracle.size, w.render()
+
+
+def test_oracle_imports_nothing_of_the_engine():
+    # agreement with the engine is evidence only while the oracle shares no
+    # code with it: of the package, it may import the word module alone
+    tree = ast.parse(Path(morphprim.oracle.__file__).read_text(encoding="utf-8"))
+    relative, absolute = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                relative.append("." * node.level + (node.module or ""))
+            else:
+                absolute.append(node.module)
+        elif isinstance(node, ast.Import):
+            absolute += [alias.name for alias in node.names]
+    assert relative == [".words"]
+    assert not [name for name in absolute if name.split(".")[0] == "morphprim"]

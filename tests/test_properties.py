@@ -184,12 +184,12 @@ def test_scan_with_queries_matches_naive_alpha(w):
 @given(words)
 def test_engine_violation_scan_matches_naive_alpha(w):
     # every stretch the scan reports must be the naive alpha of its interval;
-    # the cut lists it reads must be the forest's own, initially and after
-    # every round
+    # the cut lists it reads, which the engine keeps itself, must equal the
+    # forest's flagged cuts, initially and after every round
     state = EngineState(w)
     while True:
-        assert state.left_cuts is state.forest.flagged_cuts("L")
-        assert state.right_cuts is state.forest.flagged_cuts("R")
+        assert state.left_cuts == state.forest.flagged_cuts("L")
+        assert state.right_cuts == state.forest.flagged_cuts("R")
         a = find_violation(state)
         assert a == first_violation_naive(w, state)
         if a is None:
