@@ -189,7 +189,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     """Brute-force verdict, minimal expanding-set size and one witness."""
     w = parse_word(next(_decoded((word,))), tokens)
     try:
-        res = min_expanding(w, max_len=max_len, force=force)
+        res = min_expanding(w, max_len=None if force else max_len)
     except WordTooLongError as exc:
         click.echo(f"refused: {exc}", err=True)
         sys.exit(2)

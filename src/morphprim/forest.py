@@ -5,17 +5,17 @@ one: every cut points directly at its root, so membership queries are O(1).
 Which cut of a component is its root depends on the order of the merges;
 nothing reads it but the forest.  Each component also threads its members
 on a circular list (``next``); a lone cut, the only member of its
-component, is its own successor.  Each root carries two flag bits in one
+component, is its own successor.  Each cut carries two side bits in one
 byte (``flags``: ``SIDE_BIT["L"]`` and ``SIDE_BIT["R"]``) recording whether
-the cuts of its component belong to the left-cut set and the right-cut set.
-A new forest has cuts ``0`` and ``n`` flagged on both sides, as the
-extremal cuts of a word are always left and right cuts.  A component's
-members join a side only when the component gains the flag, so every cut
-joins each side at most once per run.  Each side appends its cuts to a
-join log (``log``) in the order they join; sorted, a prefix of the log is
-the side as it stood when the log had that length, so no earlier state
-needs a copy, and a reader that keeps its own sorted list takes in only
-the log's new tail.
+it belongs to the left-cut set and the right-cut set.  A component joins a
+side as a whole, so its members' bits always agree, and no bit is ever
+cleared.  A new forest has cuts ``0`` and ``n`` flagged on both sides, as
+the extremal cuts of a word are always left and right cuts.  A cut joins
+a side only when its component does, so every cut joins each side at most
+once per run.  Each side appends its cuts to a join log (``log``) in the
+order they join; sorted, a prefix of the log is the side as it stood when
+the log had that length, so no earlier state needs a copy, and a reader
+that keeps its own sorted list takes in only the log's new tail.
 
 New edges are buffered as stars, each tying the cuts around every
 occurrence of a letter to the same cuts around its first occurrence, and
@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 
 Side = Literal["L", "R"]
 
-# the bit of each side in a root's flag byte; any other side is a KeyError
+# the bit of each side in a cut's flag byte; any other side is a KeyError
 SIDE_BIT = {"L": 1, "R": 2}
 
 
@@ -49,8 +49,8 @@ class SyncForest:
         self.parent = list(range(n + 1))
         # next[c]: the member after c on its component's circular list
         self.next = self.parent[:]
-        # per-root side flags, SIDE_BIT["L"] | SIDE_BIT["R"] at most; zero
-        # at every cut that is not a root.  Cuts 0 and n start on both
+        # per-cut side bits, SIDE_BIT["L"] | SIDE_BIT["R"] at most, the same
+        # at every member of a component.  Cuts 0 and n start on both
         # sides: |f(empty prefix)| = 0 and |f(w)| = n for every f
         self.flags = bytearray(n + 1)
         self.flags[0] = self.flags[n] = SIDE_BIT["L"] | SIDE_BIT["R"]
@@ -64,26 +64,27 @@ class SyncForest:
         if not 0 <= c <= self.n:
             raise ValueError(f"cut {c} out of range 0..{self.n}")
 
-    def _join(self, root: int, log: list[int]) -> None:
-        """Append the members of the component of ``root`` to ``log``."""
-        nxt = self.next
-        log.append(root)
-        c = nxt[root]
-        while c != root:
-            log.append(c)
-            c = nxt[c]
+    def _join(self, c: int, bit: int, log: list[int]) -> None:
+        """Set ``bit`` on every member of the component of ``c``, which has
+        none of them yet, and append each to ``log``."""
+        flags, nxt = self.flags, self.next
+        # the members' bytes agree, so each gets the same new byte
+        f = flags[c] | bit
+        x = c
+        while True:
+            flags[x] = f
+            log.append(x)
+            x = nxt[x]
+            if x == c:
+                return
 
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
         bit = SIDE_BIT[side]
         if not 0 <= c <= self.n:
             raise ValueError(f"cut {c} out of range 0..{self.n}")
-        root = self.parent[c]
-        flags = self.flags
-        f = flags[root]
-        if not f & bit:
-            flags[root] = f | bit
-            self._join(root, self.log[side])
+        if not self.flags[c] & bit:
+            self._join(c, bit, self.log[side])
 
     def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
         """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
@@ -109,11 +110,12 @@ class SyncForest:
         root is skipped.  Otherwise both member lists are walked one step at
         a time until one of them closes, which names the smaller component
         (of two the same size, the second end's) without storing any sizes.
-        If exactly one of the two roots carries a side's flag, the members
-        of the other component join that side; the larger root takes over
-        both roots' flags.  Every member of the smaller component, its root
-        included, is then pointed at the larger root, and the two lists are
-        spliced, so height one holds again after every edge.
+        Where exactly one of the two components has a side's bit, the
+        members of the other join that side, so both end with the union of
+        their bits and no bit moves or is cleared.  Every member of the
+        smaller component, its root included, is then pointed at the larger
+        root, and the two lists are spliced, so height one holds again after
+        every edge.
 
         Returns the number of cells: one per cut pointed at a new root.  The
         walk that compares the sizes takes fewer steps than that, so a
@@ -149,13 +151,11 @@ class SyncForest:
                     fu, fv = flags[u], flags[v]
                     if fu != fv:
                         # a side whose bit (SIDE_BIT: 1 for L, 2 for R) is
-                        # set at one root only gains the other's members
+                        # set on one component only gains the other's members
                         if (fu ^ fv) & 1:
-                            join(v if fu & 1 else u, log_l)
+                            join(v if fu & 1 else u, 1, log_l)
                         if (fu ^ fv) & 2:
-                            join(v if fu & 2 else u, log_r)
-                        flags[u] = fu | fv
-                    flags[v] = 0
+                            join(v if fu & 2 else u, 2, log_r)
                     parent[v] = u
                     cells += 1
                     # splice, then walk v's old list from its successor
@@ -170,7 +170,7 @@ class SyncForest:
         return cells
 
     def flagged_cuts(self, side: Side) -> list[int]:
-        """All cuts whose component carries the flag, ascending.
+        """All cuts flagged on ``side``, ascending.
 
         Sorts the side's join log into a new list on every call, which the
         caller owns.  A reader that keeps its own sorted list takes in only

@@ -94,24 +94,24 @@ class OracleResult(NamedTuple):
         )
 
 
-def _check_guard(word: Word, max_len: int, force: bool) -> None:
-    if word.n > max_len and not force:
+def _check_guard(word: Word, max_len: int | None) -> None:
+    if max_len is not None and word.n > max_len:
         raise WordTooLongError(
             f"word of length {word.n} exceeds the size guard {max_len}; "
             "raise the limit or force the search to override"
         )
 
 
-def min_expanding(
-    word: Word, max_len: int = DEFAULT_SIZE_GUARD, force: bool = False
-) -> OracleResult:
+def min_expanding(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> OracleResult:
     """Smallest expanding set admitting a factorization.
 
     Subsets are tried in order of increasing size, so the first hit is
     minimal.  The full alphabet always works (single-letter blocks), hence
     the search terminates; ``proper`` tells whether a proper subset won.
+    A word longer than ``max_len`` raises ``WordTooLongError``; ``None``
+    searches any length.
     """
-    _check_guard(word, max_len, force)
+    _check_guard(word, max_len)
     m = word.alphabet_size
     if m == 0:
         return OracleResult(size=0, expanding=frozenset(), proper=False, images={})
@@ -128,11 +128,9 @@ def min_expanding(
     raise AssertionError("full alphabet must always admit a factorization")
 
 
-def is_primitive_oracle(
-    word: Word, max_len: int = DEFAULT_SIZE_GUARD, force: bool = False
-) -> bool:
+def is_primitive_oracle(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> bool:
     """True iff no proper alphabet subset admits a factorization."""
-    return not min_expanding(word, max_len=max_len, force=force).proper
+    return not min_expanding(word, max_len=max_len).proper
 
 
 def all_words(max_len: int, max_alphabet: int) -> Iterator[Word]:
@@ -140,22 +138,16 @@ def all_words(max_len: int, max_alphabet: int) -> Iterator[Word]:
 
     Canonical labeling assigns letter ids in order of first appearance, so
     each position may use any letter seen so far or the next fresh one (up
-    to ``max_alphabet``).
+    to ``max_alphabet``).  Each length's patterns are built from the
+    previous length's, in the same order, so only one length's patterns
+    are held at a time.
     """
-    def patterns(length: int) -> Iterator[tuple[int, ...]]:
-        prefix: list[int] = []
-
-        def rec(used: int) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == length:
-                yield tuple(prefix)
-                return
-            for a in range(min(used + 1, max_alphabet)):
-                prefix.append(a)
-                yield from rec(max(used, a + 1))
-                prefix.pop()
-
-        yield from rec(0)
-
-    for length in range(1, max_len + 1):
-        for pattern in patterns(length):
+    patterns: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        patterns = [
+            p + (a,)
+            for p in patterns
+            for a in range(min(max(p, default=-1) + 2, max_alphabet))
+        ]
+        for pattern in patterns:
             yield intern_word(surface_symbol(a) for a in pattern)

@@ -85,16 +85,16 @@ def _extension_by_walk(letters, occ, step):
 
 def image_by_walk(state, k):
     """Reference readout: walk the forest's flags cut by cut from ``k``."""
-    parent, flags = state.forest.parent, state.forest.flags
+    flags = state.forest.flags
     left, right = SIDE_BIT["L"], SIDE_BIT["R"]
     i = 0
-    while not flags[parent[k - i - 1]] & right:
+    while not flags[k - i - 1] & right:
         i += 1
     best_j = j = 0
     while True:
-        if flags[parent[k + j]] & right:
+        if flags[k + j] & right:
             best_j = j
-        if flags[parent[k + j]] & left:
+        if flags[k + j] & left:
             break
         j += 1
     return state.word.segment(k - i, k + best_j)

@@ -9,7 +9,10 @@ puts ``--src`` first on ``sys.path``, imports ``morphprim`` from there, runs
 over, for every word, the verdict, the expanding set, the images, the
 factor cuts, the final L/R cuts, each round's letter, neighborhood (with
 ``visited``), ``scanned``, ``edges``, ``cells`` and L/R cuts, and all five
-counters.  Run it on two checkouts (``--src other/src``) to show that a
+counters.  A second line gives the number of traces and a SHA-256 over
+the ``trace`` command's JSON for the worked example, ``wn`` for
+k = 1..64 and every canonical word of length at most 6 over at most 4
+letters.  Run it on two checkouts (``--src other/src``) to show that a
 change leaves every output and counter as it was.  Unlike the golden digest
 of ``test_golden.py`` it covers the ``scanned`` and ``cells`` counters,
 which a change to how the engine works may move on purpose, so it is a tool
@@ -65,6 +68,13 @@ def corpus(mp):
         yield planted_word(mp, r, m, r.randrange(1, m), r.randrange(1, 800))
 
 
+def trace_corpus(mp):
+    yield mp.intern_word("caabcaadeaabeaad")
+    for k in range(1, 65):
+        yield mp.palindrome_pair_word(k)
+    yield from mp.all_words(6, 4)
+
+
 def outputs(mp, w) -> tuple:
     r = mp.run(w)
     c = r.counters
@@ -92,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import morphprim as mp
+    from morphprim.cli import _dump, trace_document
 
     if src not in Path(mp.__file__).resolve().parents:
         parser.error(f"morphprim was imported from {mp.__file__}, not from {src}")
@@ -102,6 +113,13 @@ def main(argv: list[str] | None = None) -> int:
         h.update(b"\n")
         count += 1
     print(f"{count} words sha256 {h.hexdigest()}")
+    h = hashlib.sha256()
+    count = 0
+    for w in trace_corpus(mp):
+        h.update(_dump(trace_document(w, mp.run(w))).encode())
+        h.update(b"\n")
+        count += 1
+    print(f"{count} traces sha256 {h.hexdigest()}")
     return 0
 
 

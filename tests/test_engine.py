@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import morphprim
 from morphprim import (
     EngineState,
     Morphism,
@@ -28,10 +29,12 @@ from conftest import (
     alpha_naive,
     assert_counter_bounds,
     assert_fixed_point,
+    assert_stable,
     factor_cuts_by_definition,
     first_violation_naive,
     image_by_walk,
 )
+from digest import planted_word
 
 
 def letter_id(w, symbol):
@@ -357,6 +360,44 @@ def test_factor_cuts_of_periodic_words_match_definition(text):
     w = intern_word(text)
     r = run(w)
     assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
+
+
+def planted(seed, length):
+    """A seeded word ``f(u)``, where ``u`` holds ``length`` letters plus one
+    of each kept letter, and the number of letters ``f`` keeps."""
+    rng = random.Random(seed)
+    m = rng.randrange(3, 13)
+    kept = rng.randrange(1, m)
+    return planted_word(morphprim, rng, m, kept, length), kept
+
+
+def test_planted_words_at_scale():
+    # words of thousands of letters whose answer is known by construction:
+    # the planted f fixes them, so a minimal fixed point keeps at most as
+    # many letters as f does
+    lengths = []
+    for seed in range(20):
+        w, kept = planted(seed, random.Random(-seed).randrange(200, 2001))
+        r = run(w)
+        assert not r.primitive
+        assert len(r.expanding) <= kept
+        assert_fixed_point(w, r)
+        assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
+        lengths.append(w.n)
+    assert max(lengths) > 10_000
+
+
+def test_small_planted_words_are_stable():
+    # the stability audit is cubic, so it reads only the short planted words
+    checked = 0
+    for seed in range(40):
+        w, kept = planted(seed, seed % 20)
+        if w.n <= 130:
+            r = run(w)
+            assert len(r.expanding) <= kept
+            assert_stable(w, r)
+            checked += 1
+    assert checked >= 30
 
 
 def drive(text):

@@ -31,9 +31,10 @@ def member_cycle(f, root):
 def assert_forest(f):
     """The forest's invariants, whichever cut is a component's root: height
     one, so one root per component and that root among its members; every
-    member on its root's cycle; flags only at roots, as the two side bits;
-    and each log holding each flagged cut once.  Reads no sorted list, so
-    the order of ``flagged_cuts`` calls stays the caller's."""
+    member on its root's cycle, with its root's side bits; and each side's
+    log holding, once each, exactly the cuts whose byte has that side's
+    bit.  Reads no sorted list, so the order of ``flagged_cuts`` calls
+    stays the caller's."""
     parent = f.parent
     assert all(parent[root] == root for root in parent)
     groups: dict[int, list[int]] = {}
@@ -41,7 +42,7 @@ def assert_forest(f):
         groups.setdefault(root, []).append(c)
     for root, members in groups.items():
         assert sorted(member_cycle(f, root)) == members
-    assert all(f.flags[c] == 0 for c in range(f.n + 1) if parent[c] != c)
+        assert all(f.flags[c] == f.flags[root] for c in members)
     assert set(f.flags) <= {0, 1, 2, 3}
     for side in "LR":
         log = f.log[side]
@@ -50,8 +51,8 @@ def assert_forest(f):
 
 
 def flagged(f, c, side):
-    """Whether the root of ``c`` carries the flag bit of ``side``."""
-    return bool(f.flags[f.parent[c]] & SIDE_BIT[side])
+    """Whether the cut ``c`` carries the flag bit of ``side``."""
+    return bool(f.flags[c] & SIDE_BIT[side])
 
 
 def test_new_forest_singletons():
@@ -202,15 +203,21 @@ def test_recompress_merges_components_and_ors_flags():
     assert components(f) == [[0, 1, 2, 3, 4]]
     assert f.flagged_cuts("L") == [0, 1, 2, 3, 4]
     assert f.flagged_cuts("R") == [0, 1, 2, 3, 4]
+    # the union of both components' bits, on every member
+    assert list(f.flags) == [3] * 5
 
 
-def test_height_one_and_flags_at_roots():
+def test_height_one_and_flags_on_every_member():
     f = SyncForest(10)
     f.add_star((0, 5, 9), 0, 1)
     f.add_star((2, 3, 4), 0, 1)
     f.set_flag(9, "L")
     f.recompress()
     assert components(f) == [[0, 5, 9], [1], [2, 3, 4], [6], [7], [8], [10]]
+    # 9 joined L alone, then 0's bits spread to 5 and 9
+    assert [f.flags[c] for c in (0, 5, 9, 10)] == [3, 3, 3, 3]
+    assert f.flagged_cuts("L") == f.flagged_cuts("R") == [0, 5, 9, 10]
+    assert f.log["L"][:3] == [0, 10, 9] and sorted(f.log["L"][3:]) == [5]
     assert_forest(f)
 
 
@@ -270,7 +277,7 @@ def test_recompress_long_chain(order):
     assert cells <= 8 * n + 2
     assert components(f) == [list(range(n + 1))]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
-    assert [c for c in range(n + 1) if f.flags[c]] == [f.parent[0]]
+    assert f.flags == bytearray([3]) * (n + 1)
     assert_forest(f)
 
 
@@ -311,7 +318,7 @@ ops = st.lists(
 
 @given(st.integers(0, 12), ops)
 def test_incremental_lists_match_brute_force(n, steps):
-    # flagged_cuts must equal a scan of the roots' flags, whatever order
+    # flagged_cuts must equal a scan of the cuts' flags, whatever order
     # flags, merges and reads come in, and so must a sorted list kept apart
     # that takes in the join log's new tail at each read, as the engine's
     # lists do; the join log must hold each flagged cut exactly once; the
@@ -413,7 +420,7 @@ def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
     # each of the three joined L once, after the extremal cuts
     assert f.log["L"][:2] == [0, 6] and sorted(f.log["L"][2:]) == [1, 3, 5]
     assert f.flags[root] == SIDE_BIT["L"]
-    assert [c for c in range(7) if f.flags[c]] == [0, root, 6]
+    assert [f.flags[c] for c in range(7)] == [3, 1, 0, 1, 0, 1, 3]
     assert_forest(f)
 
 
@@ -442,8 +449,8 @@ def test_lone_cuts_join_each_log_once():
     assert components(f) == [[0, 2, 4], [1, 3, 5, 7], [6], [8]]
     assert f.flags[f.parent[0]] == SIDE_BIT["L"] | SIDE_BIT["R"]
     assert f.flags[f.parent[1]] == SIDE_BIT["L"]
-    assert [c for c in range(9) if f.flags[c]] == sorted({f.parent[0], f.parent[1], 8})
-    assert f.flags[8] == SIDE_BIT["L"] | SIDE_BIT["R"]
+    # {0, 2, 4} and 8 on both sides, {1, 3, 5, 7} on L, 6 on neither
+    assert list(f.flags) == [3, 1, 3, 1, 3, 1, 0, 1, 3]
     assert_forest(f)
 
 
@@ -451,7 +458,7 @@ def test_lone_cuts_join_each_log_once():
 def test_flag_ends_matches_four_set_flag_calls(n):
     # a new forest starts with its two ends flagged as four set_flag calls
     # would flag them on a forest that has no flag yet: same flags, same
-    # logs in the same join order, same flagged lists, flags only at roots
+    # logs in the same join order, same flagged lists
     ends = [0, n] if n else [0]
     seeded, stepwise = SyncForest(n), SyncForest(n)
     stepwise.flags = bytearray(n + 1)
@@ -464,7 +471,6 @@ def test_flag_ends_matches_four_set_flag_calls(n):
     assert seeded.log["L"] is not seeded.log["R"]
     for side in "LR":
         assert seeded.flagged_cuts(side) == stepwise.flagged_cuts(side) == ends
-    assert all(seeded.parent[c] == c for c in range(n + 1) if seeded.flags[c])
     # the ends take no second join: flagging them again logs nothing
     for side in "LR":
         seeded.set_flag(0, side)

@@ -69,7 +69,7 @@ class TestMinExpanding:
         with pytest.raises(WordTooLongError):
             min_expanding(w)
         assert min_expanding(w, max_len=20).size == 1
-        assert min_expanding(w, force=True).size == 1
+        assert min_expanding(w, max_len=None).size == 1
 
     def test_witness_converts_to_valid_morphism(self, small_corpus):
         for w in small_corpus[:2000]:
@@ -124,6 +124,21 @@ class TestAgreementWithEngine:
             oracle = min_expanding(w)
             assert res.primitive == (not oracle.proper), w.render()
             assert len(res.expanding) == oracle.size, w.render()
+
+    @pytest.mark.parametrize("max_len, letters, count", [(9, 5, 8157), (8, 6, 288)])
+    def test_five_and_six_letters(self, max_len, letters, count):
+        # every word over exactly 5 letters up to length 9 and over exactly
+        # 6 up to length 8; the 5-letter words of all_words(8, 6) are among
+        # those of all_words(9, 5)
+        checked = 0
+        for w in all_words(max_len, letters):
+            if w.alphabet_size == letters:
+                res = run(w)
+                oracle = min_expanding(w)
+                assert res.primitive == (not oracle.proper), w.render()
+                assert len(res.expanding) == oracle.size, w.render()
+                checked += 1
+        assert checked == count
 
 
 def test_oracle_imports_nothing_of_the_engine():
