@@ -65,25 +65,19 @@ def _lines(source) -> Iterator[str]:
     return _decoded(line.removesuffix("\n").removesuffix("\r") for line in source)
 
 
-def _render(word: Word, letters: Iterable[int], tokens: bool) -> str:
-    """Surface form of ``letters``: tokens are space-separated, symbols are
-    single code points and concatenated."""
-    return (" " if tokens else "").join(word.symbols[a] for a in letters)
-
-
-def _morphism_line(word: Word, f: Morphism, tokens: bool) -> str:
+def _morphism_line(word: Word, f: Morphism, sep: str) -> str:
     return ", ".join(
-        f"{word.symbols[a]}{ARROW}{_render(word, img, tokens) or EPSILON}"
+        f"{word.symbols[a]}{ARROW}{word.render(img, sep) or EPSILON}"
         for a, img in enumerate(f.images)
     )
 
 
-def _final_block(word: Word, result: FactorizationResult, tokens: bool) -> dict:
+def _final_block(word: Word, result: FactorizationResult, sep: str) -> dict:
     return {
         "primitive": result.primitive,
         "expanding": sorted(word.symbols[a] for a in result.expanding),
         "images": {
-            word.symbols[a]: _render(word, img, tokens)
+            word.symbols[a]: word.render(img, sep)
             for a, img in enumerate(result.morphism.images)
         },
         "factor_cuts": list(result.factor_cuts),
@@ -92,6 +86,8 @@ def _final_block(word: Word, result: FactorizationResult, tokens: bool) -> dict:
 
 def trace_document(word: Word, result: FactorizationResult, tokens: bool = False) -> dict:
     """Full round-by-round document; serializes deterministically."""
+    # tokens are space-separated, symbols are single code points
+    sep = " " if tokens else ""
     rounds = [
         {
             "round": r.number,
@@ -106,9 +102,9 @@ def trace_document(word: Word, result: FactorizationResult, tokens: bool = False
         for r in result.rounds
     ]
     return {
-        "word": _render(word, word.letters, tokens),
+        "word": word.render(sep=sep),
         "rounds": rounds,
-        "final": _final_block(word, result, tokens),
+        "final": _final_block(word, result, sep),
         "counters": {
             "positions_scanned": result.counters.scanned,
             "neighborhood_visits": result.counters.visits,
@@ -150,13 +146,14 @@ def cmd_factorize(word: str, tokens: bool, as_json: bool):
     """Print the witness morphism and the factor segmentation."""
     w = parse_word(next(_decoded((word,))), tokens)
     result = run(w)
+    sep = " " if tokens else ""
     if as_json:
-        click.echo(_dump(_final_block(w, result, tokens)))
+        click.echo(_dump(_final_block(w, result, sep)))
         return
-    click.echo(_morphism_line(w, result.morphism, tokens))
+    click.echo(_morphism_line(w, result.morphism, sep))
     cuts = result.factor_cuts
     click.echo("|".join(
-        _render(w, w.segment(i + 1, j), tokens) for i, j in zip(cuts, cuts[1:])
+        w.render(w.segment(i + 1, j), sep) for i, j in zip(cuts, cuts[1:])
     ))
     click.echo("primitive" if result.primitive else "imprimitive")
 
@@ -197,7 +194,8 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     click.echo(f"{word}\t{verdict}")
     click.echo(f"min_expanding\t{res.size}")
     if w.alphabet_size:
-        click.echo(f"witness\t{_morphism_line(w, res.morphism(w), tokens)}")
+        line = _morphism_line(w, res.morphism(w), " " if tokens else "")
+        click.echo(f"witness\t{line}")
 
 
 def _refuse_stray(mode: str, options: dict[str, object]) -> None:

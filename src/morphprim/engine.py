@@ -21,12 +21,15 @@ neighborhood walk counts at most ``2n`` positions (``visits``, below); fewer
 than ``2n`` synchronization edges are added; and recompression checks each
 edge once and points a cut at a new root only when its component at least
 doubles, so at most ``(N / 2) * log2(N)`` times per run over ``N = n + 1``
-cuts.  Each cut joins the left and the right cut list at most once per run.
-The forest logs the cuts in the order they join; the engine keeps its own
-sorted L/R lists, which it scans and bisects, and takes into them only the
-logs' new tails, once per round.  No round copies a list: a round's record
-keeps the lengths of the forest's join logs, from which its cut sets are
-rebuilt only when they are read.  The factor cuts are the ends of the image
+cuts.  Each cut joins the left and the right cut set at most once per run.
+The engine keeps no cut list of its own: it searches the forest's per-side
+byte arrays in place, a left cut by ``find``, the right cut that ends its
+segment by ``find`` and the left cuts a segment holds by ``count``.  The
+searches of each kind read disjoint stretches of an array, so a round's
+scan and the ``rfind`` of its ``expand_letter`` read at most ``4(n + 1)``
+flag bytes, at C speed; no counter counts them.  No round copies a list:
+a round's record keeps the lengths of the forest's join logs, from which
+its cut sets are rebuilt only when they are read.  The factor cuts are the ends of the image
 blocks, found from the occurrences of the expanding letters.
 
 ``scanned`` counts the positions read by suffix scans, plus one per
@@ -46,7 +49,7 @@ letter with one occurrence counts ``n - 1`` though nothing is compared.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -110,9 +113,9 @@ class EngineState:
     """Mutable state of one factorization run; single-threaded use."""
 
     __slots__ = (
-        "word", "index", "expanding", "forest", "left_cuts", "right_cuts",
-        "scan_from", "seg_best", "classes", "rent_due", "query_cost",
-        "neighborhoods", "rounds", "counters", "last_scan",
+        "word", "index", "expanding", "forest", "scan_from", "classes",
+        "rent_due", "query_cost", "neighborhoods", "rounds", "counters",
+        "last_scan",
     )
 
     def __init__(self, word: Word):
@@ -120,19 +123,10 @@ class EngineState:
         self.word = word
         self.index = build_index(word)
         self.expanding: set[int] = set()
-        self.forest = forest = SyncForest(n)
-        # the L/R cuts ascending, the engine's own lists: they start as the
-        # forest's extremal cuts and take in the join logs' new tails once
-        # per round (see expand_letter)
-        self.left_cuts = forest.flagged_cuts("L")
-        self.right_cuts = forest.flagged_cuts("R")
+        # the L/R cut sets: the forest's byte arrays, read in place
+        self.forest = SyncForest(n)
         # no left cut below this cut violates the minimal-frequency condition
         self.scan_from = 0
-        # seg_best[i]: the letter at the leftmost least-frequent index from i
-        # to the end of the segment last scanned (0-based); kept to spare an
-        # allocation per scan, and holding letters, not indices, so that it
-        # keeps no int object alive that the word does not hold already
-        self.seg_best = [0] * n
         # sorted occurrence positions per distinct frequency, least frequent
         # first (see frequency_classes); built once scans could have paid
         # for them (see find_violation)
@@ -198,14 +192,19 @@ def find_violation(state: EngineState) -> int | None:
     holding ``q`` left cuts, is read one of two ways.  If ``(d + 1) * q <
     r - l`` (``d`` distinct frequencies), each of its left cuts gets an
     ``alpha_query``, counted as the lists it probes plus the letter it
-    reads, at most ``d + 1``; otherwise suffix minima, taken from ``r``
-    down to ``l``, read its ``r - l`` positions once.  Segments do not
-    overlap, so one call reads at most ``n`` (``state.last_scan``).  The
-    queries need the frequency classes, whose build reads up to ``n + m``;
-    until the segments that could have been queried add up to that many
-    positions, this one included, they are scanned instead
-    (``state.rent_due`` is what remains), and the segment that reaches it
-    builds the classes.
+    reads, at most ``d + 1``; otherwise one pass from ``r`` down to ``l``
+    reads its ``r - l`` positions once and checks the letter it finds for
+    ``l`` alone.  That suffices: an occurrence ``k`` of an expanding letter
+    has the right cut ``k``, so no position of a segment but its last holds
+    an expanding letter, and if a later left cut ``l2`` of the segment
+    violates, the leftmost least-frequent letter from ``l`` either lies
+    before ``l2``, and so is not expanding, or is the one from ``l2``.
+    Segments do not overlap, so one call reads at most ``n``
+    (``state.last_scan``).  The queries need the frequency
+    classes, whose build reads up to ``n + m``; until the segments that
+    could have been queried add up to that many positions, this one
+    included, they are scanned instead (``state.rent_due`` is what
+    remains), and the segment that reaches it builds the classes.
     Before any letter expands, the cuts are ``{0, n}`` and the one segment
     is the whole word: its leftmost least-frequent letter is the least
     frequent letter with the smallest first occurrence, which the index
@@ -231,61 +230,55 @@ def find_violation(state: EngineState) -> int | None:
         state.scan_from, state.last_scan = 0, len(freq)
         state.counters.scanned += len(freq)
         return a
-    left, right = state.left_cuts, state.right_cuts
-    seg_best = state.seg_best
+    flags = state.forest.flags
+    left, right = flags["L"], flags["R"]
     classes, cost = state.classes, state.query_cost
     scanned = 0
     violator = None
     stop = n + 1
-    # n is always the last left cut, and scan_from may lie past it; right[0]
-    # is 0, so the right cut after any left cut lies past index ri = 0
-    ri, r, query = 0, -1, False
-    for li in range(bisect_left(left, state.scan_from), len(left) - 1):
-        l = left[li]
-        if l >= r:
-            # step to the first right cut past l: one by one over a short
-            # gap (at most l - r + 1 steps), by bisection over a long one
-            ri += 1
-            if right[ri] <= l:
-                if l - r < 8:
-                    while right[ri] <= l:
-                        ri += 1
-                else:
-                    ri = bisect_right(right, l, ri)
-            r = right[ri]
-            # queries pay when (d + 1) * q < r - l; q >= 1, so the left cuts
-            # are counted only in a segment longer than one query's cost
-            query = r - l > cost and cost * (bisect_left(left, r, li) - li) < r - l
-            if query and classes is None:
-                # rent before buying: scan while the positions scanned in
-                # segments a query could answer, this one included, stay
-                # below what the build reads
-                if r - l < state.rent_due:
-                    state.rent_due -= r - l
-                    query = False
-                else:
-                    classes = state.classes = frequency_classes(state.index)
-            if not query:
-                # suffix minima over indices l..r-1 (positions l+1..r); the
-                # right-to-left pass keeps ties at the leftmost index
-                best = letters[r - 1]
-                least = freq[best]
-                for i in range(r - 1, l - 1, -1):
-                    b = letters[i]
-                    f = freq[b]
-                    if f <= least:
-                        best, least = b, f
-                    seg_best[i] = best
-                scanned += r - l
+    # n is always a left cut, and scan_from may lie past it (find gives -1)
+    l = left.find(1, state.scan_from)
+    while -1 < l < n:
+        r = right.find(1, l + 1)
+        # queries pay when (d + 1) * q < r - l; q >= 1, so the left cuts are
+        # counted only in a segment longer than one query's cost
+        query = r - l > cost and cost * left.count(1, l, r) < r - l
+        if query and classes is None:
+            # rent before buying: scan while the positions scanned in
+            # segments a query could answer, this one included, stay below
+            # what the build reads
+            if r - l < state.rent_due:
+                state.rent_due -= r - l
+                query = False
+            else:
+                classes = state.classes = frequency_classes(state.index)
         if query:
-            p, probes = alpha_query(classes, l, r)
-            scanned += probes + 1
-            a = letters[p - 1]
+            while l != -1:
+                p, probes = alpha_query(classes, l, r)
+                scanned += probes + 1
+                a = letters[p - 1]
+                if a not in expanding:
+                    violator, stop = a, l
+                    break
+                l = left.find(1, l + 1, r)
         else:
-            a = seg_best[l]
-        if a not in expanding:
-            violator, stop = a, l
+            # the leftmost least-frequent letter of positions l+1..r, by a
+            # right-to-left pass that keeps ties at the leftmost index; only
+            # l is checked, as no later left cut of the segment can violate
+            # unless l does (see the docstring)
+            best = letters[r - 1]
+            least = freq[best]
+            for i in range(r - 1, l - 1, -1):
+                b = letters[i]
+                f = freq[b]
+                if f <= least:
+                    best, least = b, f
+            scanned += r - l
+            if best not in expanding:
+                violator, stop = best, l
+        if violator is not None:
             break
+        l = left.find(1, r)
     state.scan_from = stop
     state.last_scan = scanned
     state.counters.scanned += scanned
@@ -313,6 +306,9 @@ def expand_letter(state: EngineState, a: int) -> None:
         nb = neighborhood(state.word, state.index, a)
         state.neighborhoods[a] = nb
     forest = state.forest
+    log = forest.log
+    log_l, log_r = log["L"], log["R"]
+    old_l, old_r = len(log_l), len(log_r)
 
     edges = forest.add_star(occ, -nb.left_len - 1, nb.right_len + 1)
     cells = forest.recompress()
@@ -326,17 +322,12 @@ def expand_letter(state: EngineState, a: int) -> None:
     # moved: the smallest new L cut, and the old R cut just below the
     # smallest new R cut (every left cut above it may now stop earlier; no
     # new R cut lies below it)
-    log = forest.log
-    left, right = state.left_cuts, state.right_cuts
-    new = log["L"][len(left):]
-    if new:
-        state.scan_from = min(state.scan_from, min(new))
-        merge_cuts(left, new)
-    new = log["R"][len(right):]
-    if new:
-        below = right[bisect_left(right, min(new)) - 1]
+    if len(log_l) > old_l:
+        state.scan_from = min(state.scan_from, min(log_l[old_l:]))
+    if len(log_r) > old_r:
+        # cut 0 is on R from the start, so a new R cut is at least 1
+        below = forest.flags["R"].rfind(1, 0, min(log_r[old_r:]))
         state.scan_from = min(state.scan_from, below)
-        merge_cuts(right, new)
 
     state.expanding.add(a)
     state.counters.visits += nb.visited
@@ -344,27 +335,8 @@ def expand_letter(state: EngineState, a: int) -> None:
     state.counters.cells += cells
     state.rounds.append(RoundRecord(
         len(state.rounds) + 1, a, nb, state.last_scan, edges, cells,
-        log, len(left), len(right),
+        log, len(log_l), len(log_r),
     ))
-
-
-# a tail of at most this many new cuts is inserted one by one: a sort first
-# walks the whole list to find its runs, and in a micro-benchmark (CPython
-# 3.11, lists of 8 to 2 048 cuts) it was never faster for up to 4 new cuts,
-# while a long tail on a short list sorts faster
-SHORT_TAIL = 4
-
-
-def merge_cuts(cuts: list[int], new: list[int]) -> None:
-    """Merge ``new``, cuts in any order and none of them in ``cuts``, into
-    the ascending list ``cuts`` in place."""
-    if len(new) > SHORT_TAIL:
-        # two sorted runs, which the sort merges in one pass
-        cuts += sorted(new)
-        cuts.sort()
-    else:
-        for c in new:
-            insort(cuts, c)
 
 
 def image(state: EngineState, a: int) -> tuple[int, ...]:
@@ -378,10 +350,11 @@ def image(state: EngineState, a: int) -> tuple[int, ...]:
     if a not in state.expanding:
         raise ValueError(f"letter {a} is not expanding")
     k = state.index.pos[a][0]
-    left, right = state.left_cuts, state.right_cuts
-    start = right[bisect_left(right, k) - 1]
-    stop = left[bisect_left(left, k)]
-    end = right[bisect_right(right, stop) - 1]
+    flags = state.forest.flags
+    left, right = flags["L"], flags["R"]
+    start = right.rfind(1, 0, k)
+    stop = left.find(1, k)
+    end = right.rfind(1, 0, stop + 1)
     return state.word.segment(start + 1, end)
 
 
@@ -429,7 +402,7 @@ def run(word: Word) -> FactorizationResult:
     image of the prefix has exactly the prefix length; they delimit the
     morphic factorization induced by the returned morphism, and are read
     off the image blocks rather than by summing image lengths over the word.
-    A primitive word's images are its letters, read without the cut lists.
+    A primitive word's images are its letters, read without the cut sets.
     """
     state = EngineState(word)
     while True:
@@ -465,8 +438,8 @@ def run(word: Word) -> FactorizationResult:
         morphism=morphism,
         primitive=primitive,
         rounds=tuple(state.rounds),
-        left_cuts=tuple(state.left_cuts),
-        right_cuts=tuple(state.right_cuts),
+        left_cuts=tuple(sorted(state.forest.log["L"])),
+        right_cuts=tuple(sorted(state.forest.log["R"])),
         factor_cuts=factor_cuts,
         counters=state.counters,
     )

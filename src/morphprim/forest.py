@@ -5,17 +5,19 @@ one: every cut points directly at its root, so membership queries are O(1).
 Which cut of a component is its root depends on the order of the merges;
 nothing reads it but the forest.  Each component also threads its members
 on a circular list (``next``); a lone cut, the only member of its
-component, is its own successor.  Each cut carries two side bits in one
-byte (``flags``: ``SIDE_BIT["L"]`` and ``SIDE_BIT["R"]``) recording whether
-it belongs to the left-cut set and the right-cut set.  A component joins a
-side as a whole, so its members' bits always agree, and no bit is ever
-cleared.  A new forest has cuts ``0`` and ``n`` flagged on both sides, as
-the extremal cuts of a word are always left and right cuts.  A cut joins
-a side only when its component does, so every cut joins each side at most
-once per run.  Each side appends its cuts to a join log (``log``) in the
-order they join; sorted, a prefix of the log is the side as it stood when
-the log had that length, so no earlier state needs a copy, and a reader
-that keeps its own sorted list takes in only the log's new tail.
+component, is its own successor.  Each side has one byte per cut
+(``flags["L"]`` and ``flags["R"]``, each a ``bytearray`` of ``n + 1``
+bytes), 1 where the cut belongs to that side's cut set and 0 elsewhere.
+A component joins a side as a whole, so its members' bytes always agree,
+and no byte is ever cleared.  A new forest has cuts ``0`` and ``n`` on
+both sides, as the extremal cuts of a word are always left and right cuts.
+A cut joins a side only when its component does, so every cut joins each
+side at most once per run.  Each side appends its cuts to a join log
+(``log``) in the order they join; sorted, a prefix of the log is the side
+as it stood when the log had that length, so no earlier state needs a
+copy.  The arrays are the sides as they stand now, which a reader searches
+in place (``bytearray.find``, ``rfind`` and ``count``); the logs are their
+history.
 
 New edges are buffered as stars, each tying the cuts around every
 occurrence of a letter to the same cuts around its first occurrence, and
@@ -35,9 +37,6 @@ from typing import Literal, Sequence
 
 Side = Literal["L", "R"]
 
-# the bit of each side in a cut's flag byte; any other side is a KeyError
-SIDE_BIT = {"L": 1, "R": 2}
-
 
 class SyncForest:
     """Height-one union structure over cuts ``0 .. n`` with L/R flags."""
@@ -49,11 +48,13 @@ class SyncForest:
         self.parent = list(range(n + 1))
         # next[c]: the member after c on its component's circular list
         self.next = self.parent[:]
-        # per-cut side bits, SIDE_BIT["L"] | SIDE_BIT["R"] at most, the same
-        # at every member of a component.  Cuts 0 and n start on both
-        # sides: |f(empty prefix)| = 0 and |f(w)| = n for every f
-        self.flags = bytearray(n + 1)
-        self.flags[0] = self.flags[n] = SIDE_BIT["L"] | SIDE_BIT["R"]
+        # per side, one byte per cut: 1 on the side, the same at every
+        # member of a component; any other side is a KeyError.  Cuts 0 and
+        # n start on both sides: |f(empty prefix)| = 0 and |f(w)| = n for
+        # every f
+        ends = bytearray(n + 1)
+        ends[0] = ends[n] = 1
+        self.flags: dict[str, bytearray] = {"L": ends, "R": ends[:]}
         # per side: every flagged cut once, in the order it joined
         ends = [0, n] if n else [0]
         self.log: dict[str, list[int]] = {"L": ends, "R": ends[:]}
@@ -64,15 +65,13 @@ class SyncForest:
         if not 0 <= c <= self.n:
             raise ValueError(f"cut {c} out of range 0..{self.n}")
 
-    def _join(self, c: int, bit: int, log: list[int]) -> None:
-        """Set ``bit`` on every member of the component of ``c``, which has
-        none of them yet, and append each to ``log``."""
-        flags, nxt = self.flags, self.next
-        # the members' bytes agree, so each gets the same new byte
-        f = flags[c] | bit
+    def _join(self, c: int, flags: bytearray, log: list[int]) -> None:
+        """Set ``flags`` to 1 on every member of the component of ``c``,
+        which is 0 on all of them, and append each to ``log``."""
+        nxt = self.next
         x = c
         while True:
-            flags[x] = f
+            flags[x] = 1
             log.append(x)
             x = nxt[x]
             if x == c:
@@ -80,11 +79,11 @@ class SyncForest:
 
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
-        bit = SIDE_BIT[side]
+        flags = self.flags[side]
         if not 0 <= c <= self.n:
             raise ValueError(f"cut {c} out of range 0..{self.n}")
-        if not self.flags[c] & bit:
-            self._join(c, bit, self.log[side])
+        if not flags[c]:
+            self._join(c, flags, self.log[side])
 
     def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
         """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
@@ -110,9 +109,9 @@ class SyncForest:
         root is skipped.  Otherwise both member lists are walked one step at
         a time until one of them closes, which names the smaller component
         (of two the same size, the second end's) without storing any sizes.
-        Where exactly one of the two components has a side's bit, the
-        members of the other join that side, so both end with the union of
-        their bits and no bit moves or is cleared.  Every member of the
+        Where exactly one of the two components is on a side, the members
+        of the other join that side, so both end on the union of their
+        sides and no byte is cleared.  Every member of the
         smaller component, its root included, is then pointed at the larger
         root, and the two lists are spliced, so height one holds again after
         every edge.
@@ -128,7 +127,8 @@ class SyncForest:
         pending = self.pending
         if not pending:
             return 0
-        parent, nxt, flags = self.parent, self.next, self.flags
+        parent, nxt = self.parent, self.next
+        fl, fr = self.flags["L"], self.flags["R"]
         log_l, log_r = self.log["L"], self.log["R"]
         join = self._join
         cells = 0
@@ -148,14 +148,12 @@ class SyncForest:
                         a, b = nxt[a], nxt[b]
                     if b != v:
                         u, v = v, u
-                    fu, fv = flags[u], flags[v]
-                    if fu != fv:
-                        # a side whose bit (SIDE_BIT: 1 for L, 2 for R) is
-                        # set on one component only gains the other's members
-                        if (fu ^ fv) & 1:
-                            join(v if fu & 1 else u, 1, log_l)
-                        if (fu ^ fv) & 2:
-                            join(v if fu & 2 else u, 2, log_r)
+                    # a side that holds one component only gains the
+                    # other's members
+                    if fl[u] != fl[v]:
+                        join(v if fl[u] else u, fl, log_l)
+                    if fr[u] != fr[v]:
+                        join(v if fr[u] else u, fr, log_r)
                     parent[v] = u
                     cells += 1
                     # splice, then walk v's old list from its successor
@@ -173,7 +171,6 @@ class SyncForest:
         """All cuts flagged on ``side``, ascending.
 
         Sorts the side's join log into a new list on every call, which the
-        caller owns.  A reader that keeps its own sorted list takes in only
-        the log's new tail, ``log[side][len(kept):]``, as the engine does.
+        caller owns.  The engine reads ``flags[side]`` in place instead.
         """
         return sorted(self.log[side])

@@ -54,14 +54,17 @@ class Word:
         """Letter ids at positions ``i .. j`` inclusive (empty if ``i > j``)."""
         return self.letters[i - 1 : j]
 
-    def render(self, letters: Iterable[int] | None = None) -> str:
-        """Surface form of ``letters`` (the whole word by default).
+    def render(self, letters: Iterable[int] | None = None, sep: str | None = None) -> str:
+        """Surface form of ``letters`` (the whole word by default), their
+        symbols joined with ``sep``.
 
-        Single-character alphabets are concatenated; alphabets containing a
-        multi-character symbol are joined with spaces.
+        By default, single-character alphabets are concatenated and
+        alphabets containing a multi-character symbol are joined with
+        spaces.
         """
-        ids = self.letters if letters is None else tuple(letters)
-        sep = " " if any(len(s) > 1 for s in self.symbols) else ""
+        ids = self.letters if letters is None else letters
+        if sep is None:
+            sep = " " if any(len(s) > 1 for s in self.symbols) else ""
         return sep.join(self.symbols[a] for a in ids)
 
 

@@ -18,7 +18,6 @@ from morphprim import (
     verify,
 )
 from morphprim.engine import Counters, Morphism, prefix_image_lengths
-from morphprim.forest import SIDE_BIT
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
 
@@ -85,19 +84,32 @@ def _extension_by_walk(letters, occ, step):
 
 def image_by_walk(state, k):
     """Reference readout: walk the forest's flags cut by cut from ``k``."""
-    flags = state.forest.flags
-    left, right = SIDE_BIT["L"], SIDE_BIT["R"]
+    left, right = state.forest.flags["L"], state.forest.flags["R"]
     i = 0
-    while not flags[k - i - 1] & right:
+    while not right[k - i - 1]:
         i += 1
     best_j = j = 0
     while True:
-        if flags[k + j] & right:
+        if right[k + j]:
             best_j = j
-        if flags[k + j] & left:
+        if left[k + j]:
             break
         j += 1
     return state.word.segment(k - i, k + best_j)
+
+
+def assert_sides(forest) -> None:
+    """Each side's byte array is 1 exactly at the cuts in its join log, no
+    cut is logged twice, and every cut has its root's byte on both sides,
+    so the members of a component agree on both arrays."""
+    parent = forest.parent
+    for side in "LR":
+        flags, log = forest.flags[side], forest.log[side]
+        assert len(flags) == forest.n + 1
+        assert len(set(log)) == len(log)
+        assert sorted(log) == [c for c, bit in enumerate(flags) if bit]
+        assert set(flags) <= {0, 1}
+        assert all(flags[c] == flags[root] for c, root in enumerate(parent))
 
 
 def total_work(c: Counters) -> int:
@@ -113,7 +125,7 @@ def factor_cuts_by_definition(w: Word, f: Morphism) -> tuple[int, ...]:
 
 def first_violation_naive(w: Word, state) -> int | None:
     """The letter of the first left cut whose stretch violates, by alpha_naive."""
-    left, right = state.left_cuts, state.right_cuts
+    left, right = state.forest.flagged_cuts("L"), state.forest.flagged_cuts("R")
     for l in left:
         if l >= w.n:
             continue

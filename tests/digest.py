@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tests/digest.py --src src
+    python tests/digest.py --src src [--dump PATH]
 
 puts ``--src`` first on ``sys.path``, imports ``morphprim`` from there, runs
 ``run()`` over a fixed corpus and prints the number of words and a SHA-256
@@ -13,7 +13,10 @@ counters.  A second line gives the number of traces and a SHA-256 over
 the ``trace`` command's JSON for the worked example, ``wn`` for
 k = 1..64 and every canonical word of length at most 6 over at most 4
 letters.  Run it on two checkouts (``--src other/src``) to show that a
-change leaves every output and counter as it was.  Unlike the golden digest
+change leaves every output and counter as it was.  ``--dump PATH`` also
+writes one line per corpus word to ``PATH``: its index in the corpus and a
+SHA-256 over its outputs, so that ``diff`` of two trees' dumps names the
+first word whose outputs differ.  Unlike the golden digest
 of ``test_golden.py`` it covers the ``scanned`` and ``cells`` counters,
 which a change to how the engine works may move on purpose, so it is a tool
 to compare two trees, not a test.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import random
 import sys
 from pathlib import Path
@@ -98,6 +102,7 @@ def outputs(mp, w) -> tuple:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the morphprim package")
+    parser.add_argument("--dump", type=Path, help="write each corpus word's index and output hash here")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -108,10 +113,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"morphprim was imported from {mp.__file__}, not from {src}")
     h = hashlib.sha256()
     count = 0
-    for w in corpus(mp):
-        h.update(repr(outputs(mp, w)).encode())
-        h.update(b"\n")
-        count += 1
+    with open(args.dump or os.devnull, "w", encoding="ascii") as dump:
+        for w in corpus(mp):
+            text = repr(outputs(mp, w)).encode()
+            h.update(text)
+            h.update(b"\n")
+            dump.write(f"{count} {hashlib.sha256(text).hexdigest()}\n")
+            count += 1
     print(f"{count} words sha256 {h.hexdigest()}")
     h = hashlib.sha256()
     count = 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,7 @@ from morphprim import (
     run,
     verify,
 )
-from morphprim.engine import SHORT_TAIL, alpha_query, frequency_classes, merge_cuts
+from morphprim.engine import alpha_query, frequency_classes
 from morphprim.oracle import all_words
 
 from conftest import (
@@ -29,7 +30,9 @@ from conftest import (
     alpha_naive,
     assert_counter_bounds,
     assert_fixed_point,
+    assert_sides,
     assert_stable,
+    at,
     factor_cuts_by_definition,
     first_violation_naive,
     image_by_walk,
@@ -289,6 +292,107 @@ def test_image_at_matches_flag_walk(small_corpus):
                     assert image(state, b) == image_by_walk(state, k)
 
 
+def assert_images_by_walk(state):
+    """Every expanding letter's image, read at every occurrence by a walk."""
+    for b in state.expanding:
+        for k in state.index.pos[b]:
+            assert image(state, b) == image_by_walk(state, k)
+
+
+def test_byte_searches_on_words_of_length_up_to_two():
+    # n = 0, 1 and 2, every letter order: the searches start and stop at
+    # the ends of the arrays
+    words = [intern_word("")] + list(all_words(2, 2))
+    assert sorted({w.n for w in words}) == [0, 1, 2]
+    for w in words:
+        for order in permutations(range(w.alphabet_size)):
+            state = EngineState(w)
+            for a in order:
+                assert find_violation(state) == first_violation_naive(w, state)
+                expand_letter(state, a)
+                assert_sides(state.forest)
+                assert_images_by_walk(state)
+            assert find_violation(state) is first_violation_naive(w, state) is None
+        r = run(w)
+        assert_stable(w, r)
+        assert_fixed_point(w, r)
+
+
+def test_image_of_letters_first_at_either_end_of_the_word():
+    # a letter first at position 1 starts its image after cut 0, the first
+    # byte; a letter first at position n ends it at cut n, the last byte
+    ends = {"first": 0, "last": 0}
+    for w in all_words(6, 3):
+        state = EngineState(w)
+        while (a := find_violation(state)) is not None:
+            expand_letter(state, a)
+            assert_images_by_walk(state)
+            for b in state.expanding:
+                k = state.index.pos[b][0]
+                if len(image(state, b)) > 1 and k in (1, w.n):
+                    ends["first" if k == 1 else "last"] += 1
+    assert min(ends.values()) > 0
+
+
+def test_resumed_scan_lowered_to_cut_zero():
+    # expanding the letter at position 1 after another one flags cut 1 on
+    # R; when that is the smallest new R cut, the R cut below it, found by
+    # rfind, is cut 0, and the next scan starts there
+    hits = 0
+    for w in all_words(6, 3):
+        x = w.letters[0]
+        for a in set(w.letters) - {x}:
+            state = EngineState(w)
+            find_violation(state)
+            expand_letter(state, a)
+            assert find_violation(state) == first_violation_naive(w, state)
+            if x in state.expanding or state.scan_from == 0:
+                continue
+            old = len(state.forest.log["R"])
+            expand_letter(state, x)
+            if min(state.forest.log["R"][old:], default=0) == 1:
+                hits += 1
+                assert state.scan_from == 0
+            assert find_violation(state) == first_violation_naive(w, state)
+            assert_images_by_walk(state)
+    assert hits > 0
+
+
+def violating_segment(w, state):
+    """The first left cut whose stretch violates, by alpha_naive, and the
+    right cut that ends its stretch; None if no stretch violates."""
+    left, right = state.forest.flagged_cuts("L"), state.forest.flagged_cuts("R")
+    for l in left[:-1]:
+        r = min(c for c in right if c > l)
+        if at(w, alpha_naive(w, state.index, l, r)) not in state.expanding:
+            return l, r
+    return None
+
+
+@pytest.mark.parametrize("path", ["scanned", "queried"])
+def test_violation_in_a_segment_ending_at_n(path):
+    # the last segment ends at cut n, the last byte of each array; short
+    # words read it by suffix minima, and with the frequency classes built
+    # up front every segment long enough for queries is queried
+    hits = 0
+    for w in all_words(7, 3):
+        state = EngineState(w)
+        if path == "queried":
+            state.classes = frequency_classes(state.index)
+        expand_letter(state, find_violation(state))
+        while (seg := violating_segment(w, state)) is not None:
+            l, r = seg
+            cost = state.query_cost
+            queried = cost < r - l and cost * state.forest.flags["L"].count(1, l, r) < r - l
+            if r == w.n and queried == (path == "queried"):
+                hits += 1
+            a = find_violation(state)
+            assert a == first_violation_naive(w, state) is not None
+            expand_letter(state, a)
+        assert find_violation(state) is None
+    assert hits > 0
+
+
 @pytest.mark.parametrize(
     "text, order",
     [
@@ -387,6 +491,16 @@ def test_planted_words_at_scale():
     assert max(lengths) > 10_000
 
 
+def test_planted_cut_sides_match_their_join_logs_after_every_round():
+    for seed in range(20):
+        w, _ = planted(seed, random.Random(-seed).randrange(200, 2001))
+        state = EngineState(w)
+        assert_sides(state.forest)
+        while (a := find_violation(state)) is not None:
+            expand_letter(state, a)
+            assert_sides(state.forest)
+
+
 def test_small_planted_words_are_stable():
     # the stability audit is cubic, so it reads only the short planted words
     checked = 0
@@ -470,7 +584,8 @@ class TestFrequencyClasses:
 
 def test_round_records_replay_the_cut_lists_of_each_round():
     # a round's record rebuilds its cuts from the forest's join logs; they
-    # must equal the sorted lists the engine kept right after that round
+    # must equal the cuts set in the forest's byte arrays right after that
+    # round
     words = list(all_words(7, 4))
     words += [palindrome_pair_word(k) for k in range(1, 33)]
     words += [random_word(n, a, seed) for n, a, seed in [(50, 2, 0), (400, 3, 1), (2000, 5, 2)]]
@@ -479,7 +594,10 @@ def test_round_records_replay_the_cut_lists_of_each_round():
         seen = []
         while (a := find_violation(state)) is not None:
             expand_letter(state, a)
-            seen.append((tuple(state.left_cuts), tuple(state.right_cuts)))
+            seen.append(tuple(
+                tuple(c for c, bit in enumerate(state.forest.flags[side]) if bit)
+                for side in "LR"
+            ))
         assert [(r.left_cuts, r.right_cuts) for r in run(w).rounds] == seen
 
 
@@ -498,20 +616,3 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
     # k = 256 to k = 1024); without copies it grows about linearly
     small, large = palindrome_pair_word(256), palindrome_pair_word(1024)
     assert peak_alloc(large) <= 6 * peak_alloc(small)
-
-
-@pytest.mark.parametrize("k", range(2 * SHORT_TAIL + 2))
-def test_merge_cuts_takes_in_a_tail_in_any_order(k):
-    # k new cuts, inserted one by one up to SHORT_TAIL and sorted in past
-    # it, into lists of several lengths, the tail ascending, descending or
-    # shuffled: the list is changed in place to the sorted union, and the
-    # tail is left as it was
-    rng = random.Random(k)
-    for size in (0, 1, 5, 40):
-        drawn = rng.sample(range(60), size + k)
-        cuts, new = sorted(drawn[:size]), drawn[size:]
-        for tail in (sorted(new), sorted(new, reverse=True), new):
-            merged, given = cuts[:], tail[:]
-            assert merge_cuts(merged, given) is None
-            assert merged == sorted(set(cuts + new))
-            assert given == tail

@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morphprim import SyncForest
-from morphprim.engine import merge_cuts
-from morphprim.forest import SIDE_BIT
 
 
 def components(f):
@@ -31,9 +29,9 @@ def member_cycle(f, root):
 def assert_forest(f):
     """The forest's invariants, whichever cut is a component's root: height
     one, so one root per component and that root among its members; every
-    member on its root's cycle, with its root's side bits; and each side's
-    log holding, once each, exactly the cuts whose byte has that side's
-    bit.  Reads no sorted list, so the order of ``flagged_cuts`` calls
+    member on its root's cycle, with its root's byte on each side; and each
+    side's log holding, once each, exactly the cuts whose byte is 1 on that
+    side.  Reads no sorted list, so the order of ``flagged_cuts`` calls
     stays the caller's."""
     parent = f.parent
     assert all(parent[root] == root for root in parent)
@@ -42,17 +40,25 @@ def assert_forest(f):
         groups.setdefault(root, []).append(c)
     for root, members in groups.items():
         assert sorted(member_cycle(f, root)) == members
-        assert all(f.flags[c] == f.flags[root] for c in members)
-    assert set(f.flags) <= {0, 1, 2, 3}
+        for side in "LR":
+            assert all(f.flags[side][c] == f.flags[side][root] for c in members)
+    assert set(f.flags) == {"L", "R"}
     for side in "LR":
+        assert len(f.flags[side]) == f.n + 1
+        assert set(f.flags[side]) <= {0, 1}
         log = f.log[side]
         assert len(set(log)) == len(log)
         assert sorted(log) == [c for c in range(f.n + 1) if flagged(f, c, side)]
 
 
 def flagged(f, c, side):
-    """Whether the cut ``c`` carries the flag bit of ``side``."""
-    return bool(f.flags[c] & SIDE_BIT[side])
+    """Whether the cut ``c`` is on ``side``."""
+    return f.flags[side][c] == 1
+
+
+def side_bytes(f):
+    """Each cut's sides as one number, 1 for L plus 2 for R."""
+    return [left + 2 * right for left, right in zip(f.flags["L"], f.flags["R"])]
 
 
 def test_new_forest_singletons():
@@ -64,7 +70,8 @@ def test_new_forest_singletons():
         ends = [0, n] if n else [0]
         assert components(f) == [[c] for c in range(n + 1)]
         assert all(f.next[c] == c for c in range(n + 1))
-        assert list(f.flags) == [3 if c in (0, n) else 0 for c in range(n + 1)]
+        assert side_bytes(f) == [3 if c in (0, n) else 0 for c in range(n + 1)]
+        assert f.flags["L"] is not f.flags["R"]
         assert f.log == {"L": ends, "R": ends}
         assert f.log["L"] is not f.log["R"]
         assert f.flagged_cuts("L") == f.flagged_cuts("R") == ends
@@ -203,8 +210,8 @@ def test_recompress_merges_components_and_ors_flags():
     assert components(f) == [[0, 1, 2, 3, 4]]
     assert f.flagged_cuts("L") == [0, 1, 2, 3, 4]
     assert f.flagged_cuts("R") == [0, 1, 2, 3, 4]
-    # the union of both components' bits, on every member
-    assert list(f.flags) == [3] * 5
+    # the union of both components' sides, on every member
+    assert side_bytes(f) == [3] * 5
 
 
 def test_height_one_and_flags_on_every_member():
@@ -214,8 +221,8 @@ def test_height_one_and_flags_on_every_member():
     f.set_flag(9, "L")
     f.recompress()
     assert components(f) == [[0, 5, 9], [1], [2, 3, 4], [6], [7], [8], [10]]
-    # 9 joined L alone, then 0's bits spread to 5 and 9
-    assert [f.flags[c] for c in (0, 5, 9, 10)] == [3, 3, 3, 3]
+    # 9 joined L alone, then 0's sides spread to 5 and 9
+    assert [side_bytes(f)[c] for c in (0, 5, 9, 10)] == [3, 3, 3, 3]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == [0, 5, 9, 10]
     assert f.log["L"][:3] == [0, 10, 9] and sorted(f.log["L"][3:]) == [5]
     assert_forest(f)
@@ -277,7 +284,7 @@ def test_recompress_long_chain(order):
     assert cells <= 8 * n + 2
     assert components(f) == [list(range(n + 1))]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
-    assert f.flags == bytearray([3]) * (n + 1)
+    assert f.flags == {"L": bytearray([1]) * (n + 1), "R": bytearray([1]) * (n + 1)}
     assert_forest(f)
 
 
@@ -319,22 +326,19 @@ ops = st.lists(
 @given(st.integers(0, 12), ops)
 def test_incremental_lists_match_brute_force(n, steps):
     # flagged_cuts must equal a scan of the cuts' flags, whatever order
-    # flags, merges and reads come in, and so must a sorted list kept apart
-    # that takes in the join log's new tail at each read, as the engine's
-    # lists do; the join log must hold each flagged cut exactly once; the
-    # components must be those of a naive closure over the stars' edges,
-    # each with one root whose member cycle holds them all
+    # flags, merges and reads come in, and so must the cuts a reader steps
+    # through by searching the side's bytes in place, as the engine does;
+    # the join log must hold each flagged cut exactly once; the components
+    # must be those of a naive closure over the stars' edges, each with one
+    # root whose member cycle holds them all
     f = SyncForest(n)
-    lists = {side: f.flagged_cuts(side) for side in "LR"}
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
     def read(side):
         cuts = f.flagged_cuts(side)
         assert cuts == [c for c in range(n + 1) if flagged(f, c, side)]
         assert sorted(f.log[side]) == cuts
-        kept = lists[side]
-        merge_cuts(kept, f.log[side][len(kept):])
-        assert kept == cuts
+        assert found_cuts(f.flags[side]) == cuts
 
     for step in steps:
         if step[0] == "flag":
@@ -361,6 +365,36 @@ def test_incremental_lists_match_brute_force(n, steps):
         assert_forest(f)
     read("L")
     read("R")
+
+
+def found_cuts(flags):
+    """The cuts set in ``flags``, stepped through by ``find``."""
+    cuts, c = [], flags.find(1)
+    while c != -1:
+        cuts.append(c)
+        c = flags.find(1, c + 1)
+    return cuts
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_cuts_joined_in_any_order_read_back_ascending(k):
+    # k new cuts joined to sides of several sizes, ascending, descending or
+    # shuffled: the side's bytes, stepped through by find, and its sorted
+    # log are the sorted union, and the log keeps the join order
+    rng = random.Random(k)
+    n = 61
+    for size in (0, 1, 5, 40):
+        drawn = rng.sample(range(1, n), size + k)
+        cuts, new = sorted(drawn[:size]), drawn[size:]
+        for tail in (sorted(new), sorted(new, reverse=True), new):
+            f = SyncForest(n)
+            for c in cuts + tail:
+                f.set_flag(c, "L")
+            union = sorted({0, n, *cuts, *new})
+            assert found_cuts(f.flags["L"]) == sorted(f.log["L"]) == union
+            assert f.log["L"][len(f.log["L"]) - k:] == tail
+            assert found_cuts(f.flags["R"]) == [0, n]
+            assert_forest(f)
 
 
 def test_flagged_cuts_reports_joined_cuts():
@@ -419,8 +453,8 @@ def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
     assert sorted(member_cycle(f, root)) == [1, 3, 5]
     # each of the three joined L once, after the extremal cuts
     assert f.log["L"][:2] == [0, 6] and sorted(f.log["L"][2:]) == [1, 3, 5]
-    assert f.flags[root] == SIDE_BIT["L"]
-    assert [f.flags[c] for c in range(7)] == [3, 1, 0, 1, 0, 1, 3]
+    assert (f.flags["L"][root], f.flags["R"][root]) == (1, 0)
+    assert side_bytes(f) == [3, 1, 0, 1, 0, 1, 3]
     assert_forest(f)
 
 
@@ -447,10 +481,11 @@ def test_lone_cuts_join_each_log_once():
         assert len(set(log)) == len(log)
         assert sorted(log) == f.flagged_cuts(side)
     assert components(f) == [[0, 2, 4], [1, 3, 5, 7], [6], [8]]
-    assert f.flags[f.parent[0]] == SIDE_BIT["L"] | SIDE_BIT["R"]
-    assert f.flags[f.parent[1]] == SIDE_BIT["L"]
+    root0, root1 = f.parent[0], f.parent[1]
+    assert (f.flags["L"][root0], f.flags["R"][root0]) == (1, 1)
+    assert (f.flags["L"][root1], f.flags["R"][root1]) == (1, 0)
     # {0, 2, 4} and 8 on both sides, {1, 3, 5, 7} on L, 6 on neither
-    assert list(f.flags) == [3, 1, 3, 1, 3, 1, 0, 1, 3]
+    assert side_bytes(f) == [3, 1, 3, 1, 3, 1, 0, 1, 3]
     assert_forest(f)
 
 
@@ -461,7 +496,7 @@ def test_flag_ends_matches_four_set_flag_calls(n):
     # logs in the same join order, same flagged lists
     ends = [0, n] if n else [0]
     seeded, stepwise = SyncForest(n), SyncForest(n)
-    stepwise.flags = bytearray(n + 1)
+    stepwise.flags = {"L": bytearray(n + 1), "R": bytearray(n + 1)}
     stepwise.log = {"L": [], "R": []}
     for side in "LR":
         stepwise.set_flag(0, side)

@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
+import morphprim
 from morphprim import palindrome_pair_word, random_word, run
 from morphprim.oracle import all_words
+
+import digest
 
 GOLDEN = "4df7fcbd6869bed8c11513baab7a571792d4b42e4357fe5b5d63fa1be726ca44"
 
@@ -56,3 +60,18 @@ def test_golden_digest():
         h.update(repr(outputs(w)).encode())
         h.update(b"\n")
     assert h.hexdigest() == GOLDEN
+
+
+def test_digest_dump_names_each_corpus_word(tmp_path, capsys):
+    # tests/digest.py --dump writes one line per corpus word, its index and
+    # the SHA-256 of its outputs, beside the two lines it always prints
+    src = Path(morphprim.__file__).resolve().parents[1]
+    dump = tmp_path / "digest.txt"
+    assert digest.main(["--src", str(src), "--dump", str(dump)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in printed] == ["words", "traces"]
+    lines = dump.read_text(encoding="ascii").splitlines()
+    assert [line.split()[0] for line in lines] == [str(i) for i in range(int(printed[0].split()[0]))]
+    first = next(digest.corpus(morphprim))
+    text = repr(digest.outputs(morphprim, first)).encode()
+    assert lines[0].split()[1] == hashlib.sha256(text).hexdigest()

@@ -25,6 +25,7 @@ from conftest import (
     alpha_naive,
     assert_counter_bounds,
     assert_fixed_point,
+    assert_sides,
     assert_stable,
     at,
     factor_cuts_by_definition,
@@ -183,18 +184,46 @@ def test_scan_with_queries_matches_naive_alpha(w):
 
 @given(words)
 def test_engine_violation_scan_matches_naive_alpha(w):
-    # every stretch the scan reports must be the naive alpha of its interval;
-    # the cut lists it reads, which the engine keeps itself, must equal the
-    # forest's flagged cuts, initially and after every round
+    # every stretch the scan reports must be the naive alpha of its interval
     state = EngineState(w)
     while True:
-        assert state.left_cuts == state.forest.flagged_cuts("L")
-        assert state.right_cuts == state.forest.flagged_cuts("R")
         a = find_violation(state)
         assert a == first_violation_naive(w, state)
         if a is None:
             break
         expand_letter(state, a)
+
+
+@given(wide_words)
+def test_cut_sides_match_their_join_logs_after_every_round(w):
+    # the byte arrays the scan reads are the sides the join logs record,
+    # initially and after every round
+    state = EngineState(w)
+    assert_sides(state.forest)
+    while (a := find_violation(state)) is not None:
+        expand_letter(state, a)
+        assert_sides(state.forest)
+
+
+@given(wide_words, st.data())
+def test_a_segment_violates_at_its_first_left_cut_if_at_all(w, data):
+    # the suffix pass checks only the first left cut of a segment (up to
+    # the next right cut); after any rounds, in any expansion order, no
+    # later left cut of a segment may violate unless the first one does
+    state = EngineState(w)
+    while len(state.expanding) < w.alphabet_size:
+        rest = sorted(set(range(w.alphabet_size)) - state.expanding)
+        expand_letter(state, data.draw(st.sampled_from(rest)))
+        right = state.forest.flagged_cuts("R")
+        segments: dict[int, list[int]] = {}
+        for l in state.forest.flagged_cuts("L")[:-1]:
+            segments.setdefault(min(c for c in right if c > l), []).append(l)
+        for r, cuts in segments.items():
+            violates = [
+                at(w, alpha_naive(w, state.index, l, r)) not in state.expanding
+                for l in cuts
+            ]
+            assert violates[0] or not any(violates)
 
 
 @settings(max_examples=300)
@@ -212,7 +241,8 @@ def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
         assert find_violation(state) == expected  # a repeated scan agrees
         rest = sorted(set(range(w.alphabet_size)) - state.expanding)
         expand_letter(state, data.draw(st.sampled_from(rest)))
-        left, right = set(state.left_cuts), set(state.right_cuts)
+        left = set(state.forest.flagged_cuts("L"))
+        right = set(state.forest.flagged_cuts("R"))
         parent = state.forest.parent
         for b in state.expanding:
             nb = state.neighborhoods[b]

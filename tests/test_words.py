@@ -30,6 +30,14 @@ class TestInternWord:
         assert w.letters == (0, 1, 0)
         assert w.render() == "foo bar foo"
 
+    def test_render_with_a_given_separator(self):
+        # sep overrides the alphabet's default, for the word or some letters
+        w = intern_word(["foo", "b", "foo"])
+        assert w.render(sep="") == "foobfoo"
+        assert w.render((1, 0), " ") == "b foo"
+        assert intern_word("abc").render(sep=" ") == "a b c"
+        assert w.render(()) == w.render((), " ") == ""
+
 
 class TestBuildIndex:
     def test_abaaba(self):
