@@ -1,30 +1,31 @@
-"""Differential digest: a SHA-256 over everything ``run()`` reports.
+"""Differential digest: SHA-256s over everything ``run()`` reports.
 
 Usage::
 
     python tests/digest.py --src src [--dump PATH]
 
 puts ``--src`` first on ``sys.path``, imports ``morphprim`` from there, runs
-``run()`` over a fixed corpus and prints the number of words and a SHA-256
-over, for every word, the verdict, the expanding set, the images, the
-factor cuts, the final L/R cuts, each round's letter, neighborhood (with
-``visited``), ``scanned``, ``edges``, ``cells`` and L/R cuts, and all five
-counters.  A second line gives the number of traces and a SHA-256 over
-the ``trace`` command's JSON for the worked example, ``wn`` for
-k = 1..64 and every canonical word of length at most 6 over at most 4
-letters.  Run it on two checkouts (``--src other/src``) to show that a
-change leaves every output and counter as it was.  ``--dump PATH`` also
-writes one line per corpus word to ``PATH``: its index in the corpus and a
-SHA-256 over its outputs, so that ``diff`` of two trees' dumps names the
-first word whose outputs differ.  Unlike the golden digest
-of ``test_golden.py`` it covers the ``scanned`` and ``cells`` counters,
-which a change to how the engine works may move on purpose, so it is a tool
-to compare two trees, not a test.
+``run()`` over a fixed corpus and prints three lines.  The first gives the
+number of words and the *outputs* hash: a SHA-256 over, for every word, the
+verdict, the expanding set, the images, the factor cuts, the final L/R
+cuts, each round's letter, neighborhood (with ``visited``), ``edges`` and
+L/R cuts, and the counters ``visits``, ``edges`` and ``loop_checks``.  The
+second gives the *work* hash, over the counters that measure how the engine
+does its work, ``scanned`` and ``cells``, per round and per run.  The third
+gives the number of traces and a SHA-256 over the ``trace`` command's JSON
+for the worked example, ``wn`` for k = 1..64 and every canonical word of
+length at most 6 over at most 4 letters.  ``tests/test_golden.py`` pins all
+three: a refactor leaves them as they are, and a change that moves the work
+hash on purpose says why.  Run it on two checkouts (``--src other/src``) to
+compare them.  ``--dump PATH`` also writes one line per corpus word to
+``PATH``: its index and the SHA-256s of its outputs and of its work, so
+that ``diff`` of two trees' dumps names the first word that differs.
 
 The corpus: every canonical word of length at most 8 over at most 4
 letters, ``wn`` for k = 1..128, 60 seeded random words of up to 5 000
-letters over 2 to 30 letters, periodic words, and words ``f(u)`` with a
-planted idempotent morphism ``f``, generated here from fixed seeds.
+letters over 2 to 30 letters, periodic words, words ``f(u)`` with a
+planted idempotent morphism ``f``, and 4 000 structured words of 10 to 40
+letters (see ``structured_word``), generated here from fixed seeds.
 """
 
 from __future__ import annotations
@@ -57,6 +58,21 @@ def planted_word(mp, rng: random.Random, m: int, kept: int, length: int):
     return mp.intern_word([c for e in u for c in images[e]])
 
 
+def structured_word(mp, rng: random.Random, length: int):
+    """A block of 1 to 7 letters repeated, with 0 to 3 random letters after
+    each copy, until the word is at least ``length`` letters long.
+
+    Such words hold segments with many left cuts, where which of
+    ``find_violation``'s two reads a segment takes shows in ``scanned``.
+    """
+    alphabet = [mp.words.surface_symbol(i) for i in range(rng.randrange(2, 10))]
+    block = rng.choices(alphabet, k=rng.randrange(1, 8))
+    letters = []
+    while len(letters) < length:
+        letters += block + rng.choices(alphabet, k=rng.randrange(4))
+    return mp.intern_word(letters)
+
+
 def corpus(mp):
     yield from mp.all_words(8, 4)
     for k in range(1, 129):
@@ -70,6 +86,9 @@ def corpus(mp):
         r = random.Random(seed)
         m = r.randrange(3, 13)
         yield planted_word(mp, r, m, r.randrange(1, m), r.randrange(1, 800))
+    rng = random.Random(16)
+    for _ in range(4000):
+        yield structured_word(mp, rng, rng.randrange(10, 41))
 
 
 def trace_corpus(mp):
@@ -79,10 +98,11 @@ def trace_corpus(mp):
     yield from mp.all_words(6, 4)
 
 
-def outputs(mp, w) -> tuple:
+def outputs_and_work(mp, w) -> tuple[tuple, tuple]:
+    """What ``run(w)`` reports, and the counters of how it did the work."""
     r = mp.run(w)
     c = r.counters
-    return (
+    outputs = (
         w.letters,
         r.primitive,
         tuple(sorted(r.expanding)),
@@ -91,18 +111,20 @@ def outputs(mp, w) -> tuple:
         r.left_cuts,
         r.right_cuts,
         tuple(
-            (rr.number, rr.letter, tuple(rr.neighborhood), rr.scanned,
-             rr.edges, rr.cells, rr.left_cuts, rr.right_cuts)
+            (rr.number, rr.letter, tuple(rr.neighborhood), rr.edges,
+             rr.left_cuts, rr.right_cuts)
             for rr in r.rounds
         ),
-        (c.scanned, c.visits, c.edges, c.cells, c.loop_checks),
+        (c.visits, c.edges, c.loop_checks),
     )
+    work = (tuple((rr.scanned, rr.cells) for rr in r.rounds), (c.scanned, c.cells))
+    return outputs, work
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the morphprim package")
-    parser.add_argument("--dump", type=Path, help="write each corpus word's index and output hash here")
+    parser.add_argument("--dump", type=Path, help="write each corpus word's index, outputs hash and work hash here")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -111,16 +133,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if src not in Path(mp.__file__).resolve().parents:
         parser.error(f"morphprim was imported from {mp.__file__}, not from {src}")
-    h = hashlib.sha256()
+    h_out, h_work = hashlib.sha256(), hashlib.sha256()
     count = 0
     with open(args.dump or os.devnull, "w", encoding="ascii") as dump:
         for w in corpus(mp):
-            text = repr(outputs(mp, w)).encode()
-            h.update(text)
-            h.update(b"\n")
-            dump.write(f"{count} {hashlib.sha256(text).hexdigest()}\n")
+            line = [str(count)]
+            for h, part in zip((h_out, h_work), outputs_and_work(mp, w)):
+                text = repr(part).encode()
+                h.update(text)
+                h.update(b"\n")
+                line.append(hashlib.sha256(text).hexdigest())
+            dump.write(" ".join(line) + "\n")
             count += 1
-    print(f"{count} words sha256 {h.hexdigest()}")
+    print(f"{count} words outputs sha256 {h_out.hexdigest()}")
+    print(f"{count} words work sha256 {h_work.hexdigest()}")
     h = hashlib.sha256()
     count = 0
     for w in trace_corpus(mp):

@@ -393,6 +393,34 @@ def test_violation_in_a_segment_ending_at_n(path):
     assert hits > 0
 
 
+@pytest.mark.parametrize("text, queried", [("aaabb", []), ("aaaabb", [(0, 4)])])
+def test_segment_longer_than_a_query_is_queried(text, queried, monkeypatch):
+    # with the classes built and b expanding, the one segment checked runs
+    # from cut 0 to the cut before the first b; a query reads at most
+    # d + 1 = 3, so a segment of 3 positions is scanned and one of 4 queried
+    w = intern_word(text)
+    state = EngineState(w)
+    state.classes = frequency_classes(state.index)
+    expand_letter(state, letter_id(w, "b"))
+    calls = []
+
+    def spy(classes, i, j):
+        calls.append((i, j))
+        return alpha_query(classes, i, j)
+
+    monkeypatch.setattr(morphprim.engine, "alpha_query", spy)
+    assert find_violation(state) == letter_id(w, "a")
+    assert state.query_cost == 3 and calls == queried
+
+
+def test_scanned_per_round_of_a_word_with_crowded_segments():
+    # round 2 reads segments that hold two left cuts each and are longer
+    # than a query's cost, so how the engine counts such segments shows in
+    # what round 3 reads
+    r = run(intern_word("22255354222553540222553525022"))
+    assert [rr.scanned for rr in r.rounds] == [5, 29, 8, 2, 23]
+
+
 @pytest.mark.parametrize(
     "text, order",
     [
