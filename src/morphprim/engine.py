@@ -10,8 +10,8 @@ occurrence index, and once every letter expands the last check reads
 nothing; between them the violation scan resumes at the lowest
 left cut a round may have changed (its new left cuts, or the old ones whose
 right cut moved) and reads each position it passes at most once: a
-right-cut segment is either scanned by suffix minima, or, when it is long
-and holds few left cuts, answered by range-minimum queries over the
+right-cut segment is either scanned by suffix minima, or, when it is
+longer than a query reads, answered by one range-minimum query over the
 letters' fixed frequencies, one sorted occurrence list per distinct
 frequency.  Those lists are built by a rent-or-buy rule: segments a query
 could answer are scanned until the positions they would read reach what the
@@ -23,23 +23,23 @@ edge once and points a cut at a new root only when its component at least
 doubles, so at most ``(N / 2) * log2(N)`` times per run over ``N = n + 1``
 cuts.  Each cut joins the left and the right cut set at most once per run.
 The engine keeps no cut list of its own: it searches the forest's per-side
-byte arrays in place, a left cut by ``find``, the right cut that ends its
-segment by ``find`` and the left cuts a segment holds by ``count``.  The
-searches of each kind read disjoint stretches of an array, so a round's
-scan and the ``rfind`` of its ``expand_letter`` read at most ``4(n + 1)``
-flag bytes, at C speed; no counter counts them.  No round copies a list:
-a round's record keeps the lengths of the forest's join logs, from which
-its cut sets are rebuilt only when they are read.  The factor cuts are the ends of the image
+byte arrays in place, a left cut by ``find`` and the right cut that ends
+its segment by ``find``.  The searches of each kind read disjoint
+stretches of an array, so a round's scan and the ``rfind`` of its
+``expand_letter`` read at most ``3(n + 1)`` flag bytes, at C speed; no
+counter counts them.  No round copies a list: a round's record keeps the
+lengths of the forest's join logs, from which its cut sets are rebuilt
+only when they are read.  The factor cuts are the ends of the image
 blocks, found from the occurrences of the expanding letters.
 
 ``scanned`` counts the positions read by suffix scans, plus one per
 occurrence list a query probes and one per letter a query reads.  A query
 reads at most ``d + 1``, with ``d`` the number of distinct frequencies, and
-a segment is queried only when that many per left cut in it is less than
-its length, so a scan still reads at most ``n`` per call.  Round 1 counts
-``m``, one per letter it compares, and a check with ``E = Σ`` counts 0.
-The rent-or-buy rule scans, before a build, fewer than ``n + m`` positions
-that queries would have spared.
+a segment ``(l, r]`` is queried only when it is longer than that, so it
+costs at most ``min(r - l, d + 1)`` and a call still reads at most ``n``.
+Round 1 counts ``m``, one per letter it compares, and a check with
+``E = Σ`` counts 0.  The rent-or-buy rule scans, before a build, fewer
+than ``n + m`` positions that queries would have spared.
 
 ``visits`` counts the positions a step-by-step neighborhood walk would
 read (see ``words.neighborhood``), not the ones ``neighborhood`` reads: a
@@ -188,18 +188,18 @@ def find_violation(state: EngineState) -> int | None:
     checked by an earlier call and kept their right cut since, so the
     letter returned is the one a scan from cut 0 would return.
 
-    Each segment between a left cut ``l`` and the next right cut ``r``,
-    holding ``q`` left cuts, is read one of two ways.  If ``(d + 1) * q <
-    r - l`` (``d`` distinct frequencies), each of its left cuts gets an
-    ``alpha_query``, counted as the lists it probes plus the letter it
-    reads, at most ``d + 1``; otherwise one pass from ``r`` down to ``l``
-    reads its ``r - l`` positions once and checks the letter it finds for
-    ``l`` alone.  That suffices: an occurrence ``k`` of an expanding letter
-    has the right cut ``k``, so no position of a segment but its last holds
-    an expanding letter, and if a later left cut ``l2`` of the segment
-    violates, the leftmost least-frequent letter from ``l`` either lies
-    before ``l2``, and so is not expanding, or is the one from ``l2``.
-    Segments do not overlap, so one call reads at most ``n``
+    Each segment from a left cut ``l`` to the next right cut ``r`` gets one
+    check: its leftmost least-frequent letter, checked for ``l`` alone.  If
+    ``r - l > d + 1`` (``d`` distinct frequencies), an ``alpha_query``
+    finds it, counted as the lists it probes plus the letter it reads, at
+    most ``d + 1``; otherwise one pass from ``r`` down to ``l`` reads the
+    ``r - l`` positions once.  Checking ``l`` alone suffices: an occurrence
+    ``k`` of an expanding letter has the right cut ``k``, so no position of
+    a segment but its last holds an expanding letter, and if a later left
+    cut ``l2`` of the segment violates, the leftmost least-frequent letter
+    from ``l`` either lies before ``l2``, and so is not expanding, or is the
+    one from ``l2``.  Segments do not overlap and each costs at most
+    ``min(r - l, d + 1)``, so one call reads at most ``n``
     (``state.last_scan``).  The queries need the frequency
     classes, whose build reads up to ``n + m``; until the segments that
     could have been queried add up to that many positions, this one
@@ -240,9 +240,8 @@ def find_violation(state: EngineState) -> int | None:
     l = left.find(1, state.scan_from)
     while -1 < l < n:
         r = right.find(1, l + 1)
-        # queries pay when (d + 1) * q < r - l; q >= 1, so the left cuts are
-        # counted only in a segment longer than one query's cost
-        query = r - l > cost and cost * left.count(1, l, r) < r - l
+        # a query reads at most cost = d + 1, a scan r - l
+        query = r - l > cost
         if query and classes is None:
             # rent before buying: scan while the positions scanned in
             # segments a query could answer, this one included, stay below
@@ -253,19 +252,12 @@ def find_violation(state: EngineState) -> int | None:
             else:
                 classes = state.classes = frequency_classes(state.index)
         if query:
-            while l != -1:
-                p, probes = alpha_query(classes, l, r)
-                scanned += probes + 1
-                a = letters[p - 1]
-                if a not in expanding:
-                    violator, stop = a, l
-                    break
-                l = left.find(1, l + 1, r)
+            p, probes = alpha_query(classes, l, r)
+            scanned += probes + 1
+            best = letters[p - 1]
         else:
             # the leftmost least-frequent letter of positions l+1..r, by a
-            # right-to-left pass that keeps ties at the leftmost index; only
-            # l is checked, as no later left cut of the segment can violate
-            # unless l does (see the docstring)
+            # right-to-left pass that keeps ties at the leftmost index
             best = letters[r - 1]
             least = freq[best]
             for i in range(r - 1, l - 1, -1):
@@ -274,9 +266,10 @@ def find_violation(state: EngineState) -> int | None:
                 if f <= least:
                     best, least = b, f
             scanned += r - l
-            if best not in expanding:
-                violator, stop = best, l
-        if violator is not None:
+        # only l is checked, as no later left cut of the segment can
+        # violate unless l does (see the docstring)
+        if best not in expanding:
+            violator, stop = best, l
             break
         l = left.find(1, r)
     state.scan_from = stop

@@ -186,12 +186,11 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     last round's changes begin, so it often reads far fewer).  Its count is
     positions read by suffix scans plus, per range-minimum query, one per
     occurrence list probed and one for the letter read; a query reads at
-    most d + 1 (d distinct frequencies), and a segment holding q left cuts
-    is queried only when (d + 1) * q is less than its length, so no segment
-    costs more than its length.  Neighborhood computation reads at most 2n
-    positions, fewer than 2n synchronization edges are added, and
-    recompression counts at most 8n + 2 cells, a bound that is measured,
-    not proven.
+    most d + 1 (d distinct frequencies), and a segment is queried only when
+    it is longer than that, so no segment costs more than its length.
+    Neighborhood computation reads at most 2n positions, fewer than 2n
+    synchronization edges are added, and recompression counts at most
+    8n + 2 cells, a bound that is measured, not proven.
 
     Whole run: a cell is one cut pointed at a new root, which happens only
     when the cut's component at least doubles, so the cells of a run over

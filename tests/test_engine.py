@@ -382,9 +382,7 @@ def test_violation_in_a_segment_ending_at_n(path):
         expand_letter(state, find_violation(state))
         while (seg := violating_segment(w, state)) is not None:
             l, r = seg
-            cost = state.query_cost
-            queried = cost < r - l and cost * state.forest.flags["L"].count(1, l, r) < r - l
-            if r == w.n and queried == (path == "queried"):
+            if r == w.n and (r - l > state.query_cost) == (path == "queried"):
                 hits += 1
             a = find_violation(state)
             assert a == first_violation_naive(w, state) is not None
@@ -414,11 +412,13 @@ def test_segment_longer_than_a_query_is_queried(text, queried, monkeypatch):
 
 
 def test_scanned_per_round_of_a_word_with_crowded_segments():
-    # round 2 reads segments that hold two left cuts each and are longer
-    # than a query's cost, so how the engine counts such segments shows in
-    # what round 3 reads
+    # a query reads at most d + 1 = 5 here.  Round 2 scans (0, 8] and
+    # (8, 16], which hold two left cuts each; a query could answer each,
+    # so their positions count towards a build's n + m = 34 reads.  Round 3
+    # then builds the lists and queries (19, 26] (3 reads) rather than
+    # scanning it (7), after scanning (16, 17] (1)
     r = run(intern_word("22255354222553540222553525022"))
-    assert [rr.scanned for rr in r.rounds] == [5, 29, 8, 2, 23]
+    assert [rr.scanned for rr in r.rounds] == [5, 29, 4, 2, 23]
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ import morphprim
 import digest
 
 OUTPUTS = "3daf781abe1f1747b9e206bba221ac49f0cbd66afcc63ca3ebbceb7c6184ec0b"
-WORK = "25ad662725136c1b262825b3207d8f3a4adbc11b36f0cd401bc3e1864d3c5503"
+WORK = "f9f0366538c7160f1602b70f85f61a7572e7523ce6dd6a0d8f6f0dff0300e4de"
 TRACES = "b96cdb1a26e2cd29b6fd90b6808f5c4403dde976c6ef7b6dda79828add7e497d"
 
 
