@@ -13,8 +13,12 @@ and update ``WORK``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 from pathlib import Path
+
+import pytest
 
 import morphprim
 
@@ -25,20 +29,32 @@ WORK = "f9f0366538c7160f1602b70f85f61a7572e7523ce6dd6a0d8f6f0dff0300e4de"
 TRACES = "b96cdb1a26e2cd29b6fd90b6808f5c4403dde976c6ef7b6dda79828add7e497d"
 
 
-def test_golden_digest(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """Run ``tests/digest.py --dump`` once; return its printed lines and the
+    lines of its dump."""
     src = Path(morphprim.__file__).resolve().parents[1]
-    dump = tmp_path / "digest.txt"
-    assert digest.main(["--src", str(src), "--dump", str(dump)]) == 0
-    printed = capsys.readouterr().out.splitlines()
+    dump = tmp_path_factory.mktemp("digest") / "digest.txt"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert digest.main(["--src", str(src), "--dump", str(dump)]) == 0
+    return out.getvalue().splitlines(), dump.read_text(encoding="ascii").splitlines()
+
+
+def test_golden_digest(digest_run):
+    printed, _ = digest_run
     assert printed == [
         f"7976 words outputs sha256 {OUTPUTS}",
         f"7976 words work sha256 {WORK}",
         f"326 traces sha256 {TRACES}",
     ]
+
+
+def test_digest_dump_names_each_corpus_word(digest_run):
     # --dump writes one line per corpus word: its index and the SHA-256s of
     # its outputs and of its work
-    lines = dump.read_text(encoding="ascii").splitlines()
-    assert [line.split()[0] for line in lines] == [str(i) for i in range(7976)]
+    printed, lines = digest_run
+    assert [line.split()[0] for line in lines] == [str(i) for i in range(int(printed[0].split()[0]))]
     first = next(digest.corpus(morphprim))
     want = [hashlib.sha256(repr(part).encode()).hexdigest() for part in digest.outputs_and_work(morphprim, first)]
     assert lines[0].split()[1:] == want
