@@ -1,17 +1,13 @@
-"""Morphic primitivity testing and fixed-point morphism construction."""
+"""Morphic primitivity testing and fixed-point morphism construction.
 
-from .engine import (
-    EngineState,
-    FactorizationResult,
-    Morphism,
-    expand_letter,
-    find_violation,
-    image,
-    left_right_cut_check,
-    run,
-    verify,
-)
-from .forest import SyncForest
+The package exports the library contract: ``run`` and ``verify`` with
+their types, word interning, the brute-force oracle and the two word
+generators.  The engine's state and steps, the forest and the occurrence
+index are internals, imported from ``morphprim.engine``,
+``morphprim.forest`` and ``morphprim.words``.
+"""
+
+from .engine import FactorizationResult, run, verify
 from .generate import palindrome_pair_word, random_word
 from .oracle import (
     OracleResult,
@@ -21,36 +17,19 @@ from .oracle import (
     is_primitive_oracle,
     min_expanding,
 )
-from .words import (
-    Neighborhood,
-    PosIndex,
-    Word,
-    build_index,
-    intern_word,
-    neighborhood,
-)
+from .words import Morphism, Word, intern_word
 
 __all__ = [
-    "EngineState",
     "FactorizationResult",
     "Morphism",
-    "Neighborhood",
     "OracleResult",
-    "PosIndex",
-    "SyncForest",
     "Word",
     "WordTooLongError",
     "all_words",
-    "build_index",
-    "expand_letter",
     "factorization_exists",
-    "find_violation",
-    "image",
     "intern_word",
     "is_primitive_oracle",
-    "left_right_cut_check",
     "min_expanding",
-    "neighborhood",
     "palindrome_pair_word",
     "random_word",
     "run",

@@ -431,8 +431,8 @@ def run(word: Word) -> FactorizationResult:
         morphism=morphism,
         primitive=primitive,
         rounds=tuple(state.rounds),
-        left_cuts=tuple(sorted(state.forest.log["L"])),
-        right_cuts=tuple(sorted(state.forest.log["R"])),
+        left_cuts=tuple(state.forest.flagged_cuts("L")),
+        right_cuts=tuple(state.forest.flagged_cuts("R")),
         factor_cuts=factor_cuts,
         counters=state.counters,
     )

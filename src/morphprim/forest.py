@@ -16,7 +16,7 @@ side at most once per run.  Each side appends its cuts to a join log
 (``log``) in the order they join; sorted, a prefix of the log is the side
 as it stood when the log had that length, so no earlier state needs a
 copy.  The arrays are the sides as they stand now, which a reader searches
-in place (``bytearray.find``, ``rfind`` and ``count``); the logs are their
+in place (``bytearray.find`` and ``rfind``); the logs are their
 history.
 
 New edges are buffered as stars, each tying the cuts around every
@@ -171,6 +171,7 @@ class SyncForest:
         """All cuts flagged on ``side``, ascending.
 
         Sorts the side's join log into a new list on every call, which the
-        caller owns.  The engine reads ``flags[side]`` in place instead.
+        caller owns.  ``run`` reads each final side here once; the rounds
+        search ``flags[side]`` in place.
         """
         return sorted(self.log[side])

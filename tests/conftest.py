@@ -8,16 +8,9 @@ from math import log2
 import pytest
 from hypothesis import settings
 
-from morphprim import (
-    FactorizationResult,
-    PosIndex,
-    Word,
-    build_index,
-    left_right_cut_check,
-    neighborhood,
-    verify,
-)
-from morphprim.engine import Counters, Morphism, prefix_image_lengths
+from morphprim import FactorizationResult, Morphism, Word, verify
+from morphprim.engine import Counters, left_right_cut_check, prefix_image_lengths
+from morphprim.words import PosIndex, build_index, neighborhood
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
 

@@ -275,6 +275,19 @@ def test_number_out_of_range_exit_code(args):
     assert res.stdout == b""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--random", "--len", "3"], "--random requires --len and --alphabet"),
+    (["bench"], "choose --family wn or --file"),
+    (["bench", "--family", "wn"], "--family wn requires --n-max"),
+], ids=["gen-random", "bench", "bench-wn"])
+def test_missing_option_is_usage_error(args, message):
+    # refused before any word is generated or any row is printed
+    res = invoke(*args)
+    assert res.exit_code == 1
+    assert message in res.output
+    assert res.output.startswith("Usage:")
+
+
 class TestBench:
     def test_wn_family_csv(self):
         res = invoke("bench", "--family", "wn", "--n-max", "4", "--csv")

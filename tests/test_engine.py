@@ -8,22 +8,25 @@ import pytest
 
 import morphprim
 from morphprim import (
-    EngineState,
     Morphism,
     Word,
-    build_index,
-    expand_letter,
-    find_violation,
-    image,
     intern_word,
-    left_right_cut_check,
     palindrome_pair_word,
     random_word,
     run,
     verify,
 )
-from morphprim.engine import alpha_query, frequency_classes
+from morphprim.engine import (
+    EngineState,
+    alpha_query,
+    expand_letter,
+    find_violation,
+    frequency_classes,
+    image,
+    left_right_cut_check,
+)
 from morphprim.oracle import all_words
+from morphprim.words import build_index
 
 from conftest import (
     EXAMPLE_WORD,
@@ -80,6 +83,12 @@ class TestExpandLetter:
         expand_letter(state, 1)
         with pytest.raises(ValueError):
             expand_letter(state, 1)
+
+    def test_absent_letter_rejected(self):
+        state = EngineState(Word((0,), ("a", "b")))
+        with pytest.raises(ValueError, match="does not occur"):
+            expand_letter(state, 1)
+        assert state.expanding == set()
 
 
 class TestFindViolation:
@@ -562,6 +571,12 @@ class TestFrequencyClasses:
                 assert p == alpha_naive(w, idx, i, j)
                 assert 1 <= probes <= len(classes)
         return idx, classes
+
+    @pytest.mark.parametrize("i, j", [(3, 3), (6, 8)], ids=["empty", "past-n"])
+    def test_query_with_no_position_in_range_is_rejected(self, i, j):
+        classes = frequency_classes(build_index(intern_word("abaaba")))
+        with pytest.raises(ValueError, match=rf"no position in \({i}, {j}\]"):
+            alpha_query(classes, i, j)
 
     def test_all_frequencies_equal(self):
         # wn: one class holding every position, so the first probe hits

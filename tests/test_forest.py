@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from morphprim import SyncForest
+from morphprim.forest import SyncForest
 
 
 def components(f):
@@ -137,6 +137,16 @@ def test_unknown_side_is_rejected():
         f.flagged_cuts("")
     # nothing joined either side
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == [0, 3]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SyncForest(-1), "non-negative"),
+    (lambda: SyncForest(3).set_flag(-1, "L"), "cut -1 out of range"),
+    (lambda: SyncForest(3).set_flag(4, "R"), "cut 4 out of range"),
+], ids=["negative-length", "cut-below-0", "cut-above-n"])
+def test_out_of_range_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_add_star_buffered_until_recompress():

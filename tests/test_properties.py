@@ -3,14 +3,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphprim import (
-    build_index,
-    intern_word,
-    min_expanding,
-    neighborhood,
-    run,
-    verify,
-)
+from morphprim import intern_word, min_expanding, run, verify
 from morphprim.cli import parse_word, trace_document
 from morphprim.engine import (
     EngineState,
@@ -20,6 +13,7 @@ from morphprim.engine import (
     frequency_classes,
     image,
 )
+from morphprim.words import build_index, neighborhood
 
 from conftest import (
     alpha_naive,

@@ -19,14 +19,13 @@ from morphprim import (
     FactorizationResult,
     Morphism,
     OracleResult,
-    PosIndex,
     Word,
-    build_index,
     intern_word,
     min_expanding,
     run,
 )
 from morphprim.engine import Counters
+from morphprim.words import PosIndex, build_index
 
 
 class TestWord:
@@ -83,6 +82,9 @@ def test_counters_start_at_zero():
     assert c == Counters()
     c.scanned += 1
     assert c != Counters()
+    # equal only to Counters
+    assert Counters().__eq__(object()) is NotImplemented
+    assert Counters() != (0, 0, 0, 0, 0)
     assert repr(c) == "Counters(scanned=1, visits=0, edges=0, cells=0, loop_checks=0)"
 
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from morphprim import build_index, intern_word, neighborhood, palindrome_pair_word
+from morphprim import intern_word, palindrome_pair_word, random_word
+from morphprim.words import build_index, neighborhood
 
 from conftest import EXAMPLE_WORD, alpha_naive, at, neighborhood_by_walk
 
@@ -200,3 +201,13 @@ class TestAlphaNaive:
                     k = alpha_naive(w, idx, i, j)
                     for i2 in range(i, k):
                         assert alpha_naive(w, idx, i2, j) == k
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: palindrome_pair_word(0), "k must be >= 1"),
+    (lambda: random_word(-1, 2, 0), "length must be >= 0"),
+    (lambda: random_word(3, 0, 0), "alphabet >= 1"),
+], ids=["wn-k", "random-length", "random-alphabet"])
+def test_generator_arguments_out_of_range_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
