@@ -3,9 +3,11 @@
 Subcommands: ``check`` (verdicts for words from args or stdin),
 ``factorize`` (witness morphism), ``trace`` (round-by-round JSON document),
 ``oracle`` (brute-force cross-check), ``gen`` (word families) and ``bench``
-(counter-instrumented CSV rows).
+(work-counter rows for words from args or stdin, or for the ``wn`` family).
 
-Exit codes: 0 ok, 1 usage error, 2 size-guard refusal, 3 I/O failure.
+Exit codes: 0 ok, 1 usage error, 2 size-guard refusal, 3 I/O failure.  A
+command whose stdout has no reader left also exits 1, with nothing on
+stderr: click ends it so on ``EPIPE``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import nullcontext
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import click
 
@@ -39,30 +40,24 @@ def parse_word(text: str, tokens: bool) -> Word:
     return intern_word(text.split() if tokens else list(text))
 
 
-def _decoded(texts: Iterable[str]) -> Iterator[str]:
-    """``texts`` one at a time; malformed UTF-8 or a failed read exits 3.
+def _words(words: tuple[str, ...]) -> Iterator[str]:
+    """``words``, or else the lines of stdin, one at a time; malformed UTF-8
+    or a failed read exits 3.
 
-    ``sys.argv``, and ``sys.stdin`` under a C or POSIX locale, decode with
-    ``surrogateescape``, which turns each undecodable byte into a lone
-    surrogate; encoding a non-ASCII text back finds it.
+    A stdin line ends at ``\n``, or at ``\r\n``: the ``\r`` of a CRLF line
+    end is not part of its word.  ``sys.argv``, and ``sys.stdin`` under a C
+    or POSIX locale, decode with ``surrogateescape``, which turns each
+    undecodable byte into a lone surrogate; encoding a non-ASCII text back
+    finds it.
     """
     try:
-        for text in texts:
+        for text in words or (line.removesuffix("\n").removesuffix("\r") for line in sys.stdin):
             if not text.isascii():
                 text.encode("utf-8")
             yield text
     except (OSError, UnicodeError) as exc:
         click.echo(f"error: cannot read input: {exc}", err=True)
         sys.exit(3)
-
-
-def _lines(source) -> Iterator[str]:
-    """Lines of ``source`` without their line ends, read one at a time.
-
-    A line ends at ``\n``, or at ``\r\n``: the ``\r`` of a CRLF file is
-    not part of its word, on stdin as in a file.
-    """
-    return _decoded(line.removesuffix("\n").removesuffix("\r") for line in source)
 
 
 def _morphism_line(word: Word, f: Morphism, sep: str) -> str:
@@ -132,7 +127,7 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
     # written directly, as click.echo costs several times more per line; the
     # flush keeps each verdict visible before the next word is read
     out = sys.stdout
-    for line in _decoded(words) if words else _lines(sys.stdin):
+    for line in _words(words):
         result = run(parse_word(line, tokens))
         out.write(f"{line}\t{'primitive' if result.primitive else 'imprimitive'}\n")
         out.flush()
@@ -144,7 +139,7 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
 @click.option("--json", "as_json", is_flag=True, help="Emit the final block as JSON.")
 def cmd_factorize(word: str, tokens: bool, as_json: bool):
     """Print the witness morphism and the factor segmentation."""
-    w = parse_word(next(_decoded((word,))), tokens)
+    w = parse_word(next(_words((word,))), tokens)
     result = run(w)
     sep = " " if tokens else ""
     if as_json:
@@ -172,7 +167,7 @@ def cmd_trace(word: str, tokens: bool):
     recompress_cells     cuts recompression points at a new root
     loop_checks          violation checks: one per round, plus the last
     """
-    w = parse_word(next(_decoded((word,))), tokens)
+    w = parse_word(next(_words((word,))), tokens)
     click.echo(_dump(trace_document(w, run(w), tokens)))
 
 
@@ -184,7 +179,7 @@ def cmd_trace(word: str, tokens: bool):
 @click.option("--force", is_flag=True, help="Ignore the size guard.")
 def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     """Brute-force verdict, minimal expanding-set size and one witness."""
-    w = parse_word(next(_decoded((word,))), tokens)
+    w = parse_word(next(_words((word,))), tokens)
     try:
         res = min_expanding(w, max_len=None if force else max_len)
     except WordTooLongError as exc:
@@ -250,52 +245,37 @@ def _bench_row(w: Word) -> tuple:
 
 
 @cli.command("bench")
+@click.argument("words", nargs=-1)
 @click.option("--family", type=click.Choice(["wn"]), default=None,
-              help="Benchmark the wn family for k = 1 .. --n-max.")
+              help="Benchmark the wn family for k = 1 .. --n-max; takes no words.")
 @click.option("--n-max", type=click.IntRange(min=1), default=None,
               help="Largest family parameter.")
-@click.option("--file", "path", type=str, default=None,
-              help="Read words from a file ('-' for stdin).")
 @click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
 @click.option("--csv", "as_csv", is_flag=True, help="Emit CSV with a header row.")
-def cmd_bench(family, n_max, path, tokens, as_csv):
-    """One row per word: n, m, |E|, rounds, the four work counters, nanoseconds.
+def cmd_bench(words: tuple[str, ...], family, n_max, tokens, as_csv):
+    """One row per word (args, or stdin lines): n, m, |E|, rounds, the four
+    work counters, nanoseconds.
 
     The counters are positions read by the violation scan (scanned), the
     positions a step-by-step neighborhood walk would read (visits),
     synchronization edges added (edges) and cuts recompression points at a
     new root (cells), summed over the run.
     """
-    if family and path is not None:
-        raise click.UsageError("choose one of --family wn and --file")
     if family == "wn":
         if n_max is None:
             raise click.UsageError("--family wn requires --n-max")
-        _refuse_stray("--family wn", {"--tokens": tokens})
-        source = nullcontext()
-    elif path is not None:
-        _refuse_stray("--file", {"--n-max": n_max})
-        try:
-            # split at "\n" only, as stdin is, so both read a file alike
-            source = (nullcontext(sys.stdin) if path == "-"
-                      else open(path, encoding="utf-8", newline="\n"))
-        except OSError as exc:
-            click.echo(f"error: cannot open {path}: {exc}", err=True)
-            sys.exit(3)
+        _refuse_stray("--family wn", {"words": bool(words), "--tokens": tokens})
+        ws = map(palindrome_pair_word, range(1, n_max + 1))
     else:
-        raise click.UsageError("choose --family wn or --file")
+        _refuse_stray("bench without --family wn", {"--n-max": n_max})
+        ws = (parse_word(line, tokens) for line in _words(words))
 
     # each row is decided and printed as its word is read
     sep = "," if as_csv else "\t"
     header = ("n", "m", "expanding", "rounds", "scanned", "visits", "edges", "cells", "ns")
     click.echo(sep.join(header))
-    with source as fh:
-        if fh is None:
-            words = map(palindrome_pair_word, range(1, n_max + 1))
-        else:
-            words = (parse_word(line, tokens) for line in _lines(fh))
-        for w in words:
-            click.echo(sep.join(map(str, _bench_row(w))))
+    for w in ws:
+        click.echo(sep.join(map(str, _bench_row(w))))
 
 
 def main():

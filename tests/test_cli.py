@@ -24,15 +24,17 @@ def invoke(*args, input=None):
 # locale's surrogate escapes, and strict UTF-8
 STDIN_ENVS = [{}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}]
 
+BENCH_TABLE_HEADER = b"n\tm\texpanding\trounds\tscanned\tvisits\tedges\tcells\tns\n"
+
+CLI = [sys.executable, "-m", "morphprim.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
 
 def run_cli(args, stdin: bytes, env: dict[str, str]):
     """Run ``morphprim`` in a real subprocess, whose stdin decodes like a
     terminal's (CliRunner decodes its input strictly)."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run(
-        [sys.executable, "-m", "morphprim.cli", *args],
-        input=stdin, capture_output=True, env=env, timeout=60,
+        [*CLI, *args], input=stdin, capture_output=True, env={**CLI_ENV, **env}, timeout=60,
     )
 
 
@@ -54,73 +56,167 @@ class FailingAfter(io.BytesIO):
     read1 = read
 
 
-class TestCheck:
+class ReadsWords:
+    """How a command reads words: its arguments if any are given, else the
+    lines of stdin, each decided and printed as it is read.
+
+    A subclass names the ``command`` and states its own rows: ``expect``
+    gives the lines it prints for some words, and ``rows`` reads its output
+    back into lines comparable with them.
+    """
+
+    READ_ERROR = "error: cannot read input: device gone"
+
     def test_args(self):
-        res = invoke("check", "abaaba", "abba")
+        res = invoke(*self.command, "abaaba", "abba")
         assert res.exit_code == 0
-        assert res.output.splitlines() == [
-            "abaaba\timprimitive",
-            "abba\tprimitive",
-        ]
+        assert self.rows(res.output) == self.expect(["abaaba", "abba"])
 
     def test_stdin(self):
-        res = invoke("check", input="abaaba\nabba\n")
+        res = invoke(*self.command, input="abaaba\nabba\n")
         assert res.exit_code == 0
-        assert res.output.splitlines() == [
-            "abaaba\timprimitive",
-            "abba\tprimitive",
-        ]
+        assert self.rows(res.output) == self.expect(["abaaba", "abba"])
+
+    def test_empty_stdin(self):
+        res = invoke(*self.command, input="")
+        assert res.exit_code == 0
+        assert self.rows(res.output) == self.expect([])
 
     def test_empty_word_is_primitive(self):
-        res = invoke("check", input="\n")
+        res = invoke(*self.command, input="\n")
         assert res.exit_code == 0
-        assert res.output.splitlines() == ["\tprimitive"]
+        assert self.rows(res.output) == self.expect([""])
 
     def test_tokens_mode(self):
-        res = invoke("check", "--tokens", "foo bar foo foo bar foo")
+        res = invoke(*self.command, "--tokens", "foo bar foo foo bar foo")
         assert res.exit_code == 0
-        assert res.output.strip().endswith("imprimitive")
+        assert self.rows(res.output) == self.expect(["foo bar foo foo bar foo"])
 
     def test_stdin_read_error_exit_code(self):
-        res = invoke("check", input=FailingAfter(b""))
+        res = invoke(*self.command, input=FailingAfter(b""))
         assert res.exit_code == 3
-        assert "cannot read input" in res.output
-
-    @pytest.mark.parametrize("env", STDIN_ENVS)
-    def test_malformed_utf8_stdin_exit_code(self, env):
-        res = run_cli(["check"], b"ab\xffa\n", env)
-        assert res.returncode == 3
-        assert res.stdout == b""
-        assert b"cannot read input" in res.stderr
-
-    def test_utf8_stdin_is_accepted(self):
-        res = run_cli(["check"], "aéa\n".encode(), {"LC_ALL": "C"})
-        assert res.returncode == 0
-        assert res.stdout == "aéa\timprimitive\n".encode()
-
-    @pytest.mark.parametrize("env", STDIN_ENVS)
-    def test_crlf_stdin_lines(self, env):
-        # the \r of a CRLF line end is not part of the word
-        res = run_cli(["check"], b"aa\r\nabba\r\nabaaba", env)
-        assert res.returncode == 0
-        assert res.stdout == b"aa\tprimitive\nabba\tprimitive\nabaaba\timprimitive\n"
+        assert self.rows(res.output) == self.expect([]) + [self.READ_ERROR]
 
     def test_stdin_is_read_lazily(self):
         # the first word is decided before the failing second read
-        res = invoke("check", input=FailingAfter(b"abaaba\n"))
+        res = invoke(*self.command, input=FailingAfter(b"abaaba\n"))
         assert res.exit_code == 3
-        assert res.output.splitlines()[0] == "abaaba\timprimitive"
+        assert self.rows(res.output) == self.expect(["abaaba"]) + [self.READ_ERROR]
+
+    @pytest.mark.parametrize("env", STDIN_ENVS)
+    def test_malformed_utf8_stdin_exit_code(self, env):
+        res = run_cli(self.command, b"ab\xffa\n", env)
+        assert res.returncode == 3
+        assert self.rows(res.stdout.decode()) == self.expect([])
+        assert b"cannot read input" in res.stderr
+
+    def test_utf8_stdin_is_accepted(self):
+        res = run_cli(self.command, "aéa\n".encode(), {"LC_ALL": "C"})
+        assert res.returncode == 0
+        assert self.rows(res.stdout.decode()) == self.expect(["aéa"])
+
+    @pytest.mark.parametrize("env", STDIN_ENVS)
+    def test_crlf_stdin_lines(self, env):
+        # the \r of a CRLF line end is not part of the word; a lone \r
+        # inside a line is
+        res = run_cli(self.command, b"aa\r\nab\rba\r\nabba\r\nabaaba", env)
+        assert res.returncode == 0
+        assert self.rows(res.stdout.decode()) == self.expect(["aa", "ab\rba", "abba", "abaaba"])
+
+
+class TestCheck(ReadsWords):
+    command = ("check",)
+    PRIMITIVE = {"", "aa", "abba"}
+
+    @staticmethod
+    def rows(output: str) -> list[str]:
+        return output.split("\n")[:-1]
+
+    def expect(self, words: list[str]) -> list[str]:
+        return [f"{word}\t{'primitive' if word in self.PRIMITIVE else 'imprimitive'}"
+                for word in words]
+
+
+class TestBench(ReadsWords):
+    command = ("bench", "--csv")
+    # every column but the wall time
+    HEADER = "n,m,expanding,rounds,scanned,visits,edges,cells"
+    COUNTS = {
+        "": "0,0,0,0,0,0,0,0", "aa": "2,1,1,1,1,1,2,2", "abba": "4,2,2,2,5,5,4,5",
+        "abaaba": "6,2,1,1,6,5,4,4", "ab\rba": "5,3,1,1,6,4,0,0", "aéa": "3,2,1,1,4,2,0,0",
+        "foo bar foo foo bar foo": "6,2,1,1,6,5,4,4",
+    }
+
+    @staticmethod
+    def rows(output: str) -> list[str]:
+        return [line.rpartition(",")[0] or line for line in output.split("\n")[:-1]]
+
+    def expect(self, words: list[str]) -> list[str]:
+        return [self.HEADER] + [self.COUNTS[word] for word in words]
+
+    def test_wn_family_csv(self):
+        res = invoke("bench", "--family", "wn", "--n-max", "4", "--csv")
+        lines = res.output.splitlines()
+        assert lines[0] == self.HEADER + ",ns"
+        for k, line in enumerate(lines[1:], start=1):
+            n, m, e, rounds = map(int, line.split(",")[:4])
+            assert (n, m) == (2 * k, k)
+            assert rounds == e == k  # primitive family: one round per letter
+        # aa: run()'s counters scanned, visits, edges, cells, one per column;
+        # round 1 reads its one letter from the index, the last check reads
+        # nothing once every letter expands, and each of the two edges
+        # points one lone cut at a new root
+        assert lines[1].split(",")[4:8] == ["1", "1", "2", "2"]
+
+    def test_table_matches_csv(self):
+        args = ("bench", "--family", "wn", "--n-max", "3")
+        table = [line.split("\t") for line in invoke(*args).output.splitlines()]
+        csv = [line.split(",") for line in invoke(*args, "--csv").output.splitlines()]
+        assert table[0] == csv[0]
+        # every column but the wall time
+        assert [row[:-1] for row in table] == [row[:-1] for row in csv]
+
+    def test_both_modes_is_usage_error(self):
+        # refused before any row is printed
+        res = invoke("bench", "--family", "wn", "--n-max", "2", "abba")
+        assert res.exit_code == 1
+        assert "--family wn does not take words" in res.output
+        assert "n\tm" not in res.output
+
+    @pytest.mark.parametrize("args, stray", [
+        (["--n-max", "3", "abba"], "--n-max"),
+        (["--family", "wn", "--n-max", "2", "--tokens"], "--tokens"),
+    ], ids=["words-n-max", "family-tokens"])
+    def test_option_of_the_other_mode_is_usage_error(self, args, stray):
+        # refused before any word is read or any row is printed
+        res = invoke("bench", *args, input="ab\n")
+        assert res.exit_code == 1
+        assert f"does not take {stray}" in res.output
+        assert "n\tm" not in res.output
 
 
 # every command that takes words as arguments, given one with an
 # undecodable byte, which sys.argv decodes to a lone surrogate
 @pytest.mark.parametrize("env", STDIN_ENVS)
-@pytest.mark.parametrize("command", ["check", "factorize", "trace", "oracle"])
+@pytest.mark.parametrize("command", ["check", "factorize", "trace", "oracle", "bench"])
 def test_malformed_utf8_argument_exit_code(command, env):
     res = run_cli([command, b"ab\xffa"], b"", env)
     assert res.returncode == 3
-    assert res.stdout == b""
+    # bench prints its header before it reads a word
+    assert res.stdout == (BENCH_TABLE_HEADER if command == "bench" else b"")
     assert res.stderr.startswith(b"error: cannot read input: ")
+
+
+# the reader of stdout is gone before the first row is written: click ends
+# the command on EPIPE with the usage-error code and writes nothing more
+@pytest.mark.parametrize("command", ["check", "bench"])
+def test_closed_stdout_exit_code(command):
+    with subprocess.Popen([*CLI, command], env=CLI_ENV, stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(b"abba\n" * 10, timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 class TestFactorize:
@@ -277,111 +373,11 @@ def test_number_out_of_range_exit_code(args):
 
 @pytest.mark.parametrize("args, message", [
     (["gen", "--random", "--len", "3"], "--random requires --len and --alphabet"),
-    (["bench"], "choose --family wn or --file"),
     (["bench", "--family", "wn"], "--family wn requires --n-max"),
-], ids=["gen-random", "bench", "bench-wn"])
+], ids=["gen-random", "bench-wn"])
 def test_missing_option_is_usage_error(args, message):
     # refused before any word is generated or any row is printed
     res = invoke(*args)
     assert res.exit_code == 1
     assert message in res.output
     assert res.output.startswith("Usage:")
-
-
-class TestBench:
-    def test_wn_family_csv(self):
-        res = invoke("bench", "--family", "wn", "--n-max", "4", "--csv")
-        lines = res.output.splitlines()
-        assert lines[0] == "n,m,expanding,rounds,scanned,visits,edges,cells,ns"
-        for k, line in enumerate(lines[1:], start=1):
-            n, m, e, rounds = map(int, line.split(",")[:4])
-            assert (n, m) == (2 * k, k)
-            assert rounds == e == k  # primitive family: one round per letter
-        # aa: run()'s counters scanned, visits, edges, cells, one per column;
-        # round 1 reads its one letter from the index, the last check reads
-        # nothing once every letter expands, and each of the two edges
-        # points one lone cut at a new root
-        assert lines[1].split(",")[4:8] == ["1", "1", "2", "2"]
-
-    def test_file_input_with_empty_word(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_text("abaaba\n\n")
-        res = invoke("bench", "--file", str(path), "--csv")
-        rows = [line.split(",") for line in res.output.splitlines()[1:]]
-        assert rows[0][3] == "1"  # abaaba: one round
-        assert rows[1][:4] == ["0", "0", "0", "0"]  # empty word: zero rounds
-
-    def test_stdin_input(self):
-        res = invoke("bench", "--file", "-", "--csv", input="abba\n")
-        assert res.exit_code == 0
-        assert len(res.output.splitlines()) == 2
-
-    def test_crlf_file_and_stdin_give_the_same_rows(self, tmp_path):
-        # a CRLF file gives the rows of its LF form, read from a path or
-        # from stdin; a lone \r inside a line is part of its word on both
-        path = tmp_path / "words.txt"
-        data = b"abaaba\r\nab\rba\r\n\r\nabba"
-        path.write_bytes(data)
-
-        def rows(args, stdin=b""):
-            res = run_cli(["bench", *args, "--csv"], stdin, {})
-            assert res.returncode == 0
-            return [line.split(b",")[:-1] for line in res.stdout.splitlines()]
-
-        from_path = rows(["--file", str(path)])
-        assert from_path == rows(["--file", "-"], data)
-        assert from_path == rows(["--file", "-"], data.replace(b"\r\n", b"\n"))
-        assert [row[0] for row in from_path[1:]] == [b"6", b"5", b"0", b"4"]
-
-    def test_table_matches_csv(self):
-        args = ("bench", "--family", "wn", "--n-max", "3")
-        table = [line.split("\t") for line in invoke(*args).output.splitlines()]
-        csv = [line.split(",") for line in invoke(*args, "--csv").output.splitlines()]
-        assert table[0] == csv[0]
-        # every column but the wall time
-        assert [row[:-1] for row in table] == [row[:-1] for row in csv]
-
-    def test_missing_file_exit_code(self):
-        res = invoke("bench", "--file", "/nonexistent/words.txt")
-        assert res.exit_code == 3
-
-    def test_both_modes_is_usage_error(self):
-        # refused before the file is opened or any row is printed
-        res = invoke("bench", "--family", "wn", "--n-max", "2", "--file", "/nonexistent")
-        assert res.exit_code == 1
-        assert "choose one of --family wn and --file" in res.output
-        assert "n\tm" not in res.output
-
-    @pytest.mark.parametrize("args, stray", [
-        (["--file", "-", "--n-max", "4"], "--n-max"),
-        (["--family", "wn", "--n-max", "2", "--tokens"], "--tokens"),
-    ], ids=["file-n-max", "family-tokens"])
-    def test_option_of_the_other_mode_is_usage_error(self, args, stray):
-        # refused before any word is read or any row is printed
-        res = invoke("bench", *args, input="ab\n")
-        assert res.exit_code == 1
-        assert f"does not take {stray}" in res.output
-        assert "n\tm" not in res.output
-
-    @pytest.mark.parametrize("env", STDIN_ENVS)
-    def test_malformed_utf8_stdin_exit_code(self, env):
-        res = run_cli(["bench", "--file", "-"], b"ab\xffa\n", env)
-        assert res.returncode == 3
-        assert b"cannot read input" in res.stderr
-
-    def test_stdin_is_read_lazily(self):
-        # the header and the first word's row are printed before the failing
-        # second read
-        res = invoke("bench", "--file", "-", "--csv", input=FailingAfter(b"abaaba\n"))
-        assert res.exit_code == 3
-        lines = res.output.splitlines()
-        assert lines[0] == "n,m,expanding,rounds,scanned,visits,edges,cells,ns"
-        assert lines[1].split(",")[:4] == ["6", "2", "1", "1"]
-        assert "cannot read input: device gone" in lines[2]
-
-    def test_malformed_utf8_file_exit_code(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_bytes(b"ab\xffa\n")
-        res = invoke("bench", "--file", str(path))
-        assert res.exit_code == 3
-        assert "cannot read input" in res.output
