@@ -2,8 +2,9 @@
 
 Subcommands: ``check`` (verdicts for words from args or stdin),
 ``factorize`` (witness morphism), ``trace`` (round-by-round JSON document),
-``oracle`` (brute-force cross-check), ``gen`` (word families) and ``bench``
-(work-counter rows for words from args or stdin, or for the ``wn`` family).
+``oracle`` (brute-force cross-check), ``gen wn`` and ``gen random`` (word
+families) and ``bench`` (work-counter rows for words from args or stdin, or
+with ``--wn K`` for the ``wn`` family).
 
 Exit codes: 0 ok, 1 usage error, 2 size-guard refusal, 3 I/O failure.  A
 command whose stdout has no reader left also exits 1, with nothing on
@@ -110,8 +111,16 @@ def trace_document(word: Word, result: FactorizationResult, tokens: bool = False
     }
 
 
+def _one_word(word: str, tokens: bool) -> Word:
+    return parse_word(next(_words((word,))), tokens)
+
+
 def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, ensure_ascii=False)
+
+
+tokens_option = click.option("--tokens", is_flag=True,
+                             help="Treat whitespace-separated tokens as letters.")
 
 
 @click.group()
@@ -121,7 +130,7 @@ def cli():
 
 @cli.command("check")
 @click.argument("words", nargs=-1)
-@click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
+@tokens_option
 def cmd_check(words: tuple[str, ...], tokens: bool):
     """Print `word<TAB>verdict` for each word (args, or stdin lines)."""
     # written directly, as click.echo costs several times more per line; the
@@ -135,11 +144,11 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
 
 @cli.command("factorize")
 @click.argument("word")
-@click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
+@tokens_option
 @click.option("--json", "as_json", is_flag=True, help="Emit the final block as JSON.")
 def cmd_factorize(word: str, tokens: bool, as_json: bool):
     """Print the witness morphism and the factor segmentation."""
-    w = parse_word(next(_words((word,))), tokens)
+    w = _one_word(word, tokens)
     result = run(w)
     sep = " " if tokens else ""
     if as_json:
@@ -155,7 +164,7 @@ def cmd_factorize(word: str, tokens: bool, as_json: bool):
 
 @cli.command("trace")
 @click.argument("word")
-@click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
+@tokens_option
 def cmd_trace(word: str, tokens: bool):
     """Print the full round-by-round trace as JSON.
 
@@ -167,19 +176,19 @@ def cmd_trace(word: str, tokens: bool):
     recompress_cells     cuts recompression points at a new root
     loop_checks          violation checks: one per round, plus the last
     """
-    w = parse_word(next(_words((word,))), tokens)
+    w = _one_word(word, tokens)
     click.echo(_dump(trace_document(w, run(w), tokens)))
 
 
 @cli.command("oracle")
 @click.argument("word")
-@click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
+@tokens_option
 @click.option("--max-len", type=click.IntRange(min=0), default=DEFAULT_SIZE_GUARD,
               show_default=True, help="Size guard for the exhaustive search.")
 @click.option("--force", is_flag=True, help="Ignore the size guard.")
 def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     """Brute-force verdict, minimal expanding-set size and one witness."""
-    w = parse_word(next(_words((word,))), tokens)
+    w = _one_word(word, tokens)
     try:
         res = min_expanding(w, max_len=None if force else max_len)
     except WordTooLongError as exc:
@@ -193,46 +202,35 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
         click.echo(f"witness\t{line}")
 
 
-def _refuse_stray(mode: str, options: dict[str, object]) -> None:
-    """Usage error if any of ``options`` (name to value) was given: ``mode``
-    does not read them, and ignoring them would hide a mistaken call."""
-    given = [name for name, value in options.items() if value is not None and value is not False]
-    if given:
-        raise click.UsageError(f"{mode} does not take {', '.join(given)}")
+@cli.group("gen")
+def cmd_gen():
+    """Generate words, one per line."""
 
 
-@cli.command("gen")
-@click.option("--family", type=click.Choice(["wn"]), default=None,
-              help="Named family (wn: k distinct letters mirrored).")
-@click.option("--n", "family_n", type=click.IntRange(min=1), default=None,
-              help="Family parameter k.")
-@click.option("--random", "random_", is_flag=True, help="Uniform random word.")
-@click.option("--len", "length", type=click.IntRange(min=0), default=None,
-              help="Random word length.")
-@click.option("--alphabet", type=click.IntRange(min=1), default=None,
-              help="Random alphabet size.")
-@click.option("--seed", type=int, default=None, help="Random seed (default 0).")
+def _emit(word: Word, alphabet: int) -> None:
+    # spaced whenever the requested alphabet reaches past z, so every word of
+    # one call reads back with the same --tokens setting
+    click.echo(word.render(sep=" " if alphabet > 26 else ""))
+
+
+@cmd_gen.command("wn")
+@click.argument("k", type=click.IntRange(min=1))
+def cmd_gen_wn(k: int):
+    """The palindrome a1..ak ak..a1 over K letters."""
+    _emit(palindrome_pair_word(k), k)
+
+
+@cmd_gen.command("random")
+@click.option("--len", "length", type=click.IntRange(min=0), required=True, help="Word length.")
+@click.option("--alphabet", type=click.IntRange(min=1), required=True, help="Alphabet size.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the first word; each next word adds 1.")
 @click.option("--count", type=click.IntRange(min=0), default=1, show_default=True,
               help="Words to emit.")
-def cmd_gen(family, family_n, random_, length, alphabet, seed, count):
-    """Generate words, one per line."""
-    if family and random_:
-        raise click.UsageError("choose one of --family wn and --random")
-    if family == "wn":
-        if family_n is None:
-            raise click.UsageError("--family wn requires --n")
-        _refuse_stray("--family wn", {"--len": length, "--alphabet": alphabet, "--seed": seed})
-        for _ in range(count):
-            click.echo(palindrome_pair_word(family_n).render())
-    elif random_:
-        if length is None or alphabet is None:
-            raise click.UsageError("--random requires --len and --alphabet")
-        _refuse_stray("--random", {"--n": family_n})
-        seed = seed or 0
-        for i in range(count):
-            click.echo(random_word(length, alphabet, seed + i).render())
-    else:
-        raise click.UsageError("choose --family wn or --random")
+def cmd_gen_random(length: int, alphabet: int, seed: int, count: int):
+    """Uniform random words, deterministic per seed."""
+    for i in range(count):
+        _emit(random_word(length, alphabet, seed + i), alphabet)
 
 
 def _bench_row(w: Word) -> tuple:
@@ -246,29 +244,28 @@ def _bench_row(w: Word) -> tuple:
 
 @cli.command("bench")
 @click.argument("words", nargs=-1)
-@click.option("--family", type=click.Choice(["wn"]), default=None,
-              help="Benchmark the wn family for k = 1 .. --n-max; takes no words.")
-@click.option("--n-max", type=click.IntRange(min=1), default=None,
-              help="Largest family parameter.")
-@click.option("--tokens", is_flag=True, help="Treat whitespace-separated tokens as letters.")
+@click.option("--wn", "wn_max", type=click.IntRange(min=1), default=None, metavar="K",
+              help="Rows for the wn family, k = 1 .. K, in place of words.")
+@tokens_option
 @click.option("--csv", "as_csv", is_flag=True, help="Emit CSV with a header row.")
-def cmd_bench(words: tuple[str, ...], family, n_max, tokens, as_csv):
-    """One row per word (args, or stdin lines): n, m, |E|, rounds, the four
-    work counters, nanoseconds.
+def cmd_bench(words: tuple[str, ...], wn_max: int | None, tokens: bool, as_csv: bool):
+    """Work-counter rows, one per word.
+
+    The words are the arguments, or else the lines of stdin, or with --wn K
+    the wn family for k = 1 .. K.  A row holds n, m, |E|, rounds, the four
+    work counters and nanoseconds.
 
     The counters are positions read by the violation scan (scanned), the
     positions a step-by-step neighborhood walk would read (visits),
     synchronization edges added (edges) and cuts recompression points at a
     new root (cells), summed over the run.
     """
-    if family == "wn":
-        if n_max is None:
-            raise click.UsageError("--family wn requires --n-max")
-        _refuse_stray("--family wn", {"words": bool(words), "--tokens": tokens})
-        ws = map(palindrome_pair_word, range(1, n_max + 1))
-    else:
-        _refuse_stray("bench without --family wn", {"--n-max": n_max})
+    if wn_max is None:
         ws = (parse_word(line, tokens) for line in _words(words))
+    elif words or tokens:
+        raise click.UsageError("--wn takes no words and no --tokens")
+    else:
+        ws = map(palindrome_pair_word, range(1, wn_max + 1))
 
     # each row is decided and printed as its word is read
     sep = "," if as_csv else "\t"

@@ -80,8 +80,7 @@ class SyncForest:
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
         flags = self.flags[side]
-        if not 0 <= c <= self.n:
-            raise ValueError(f"cut {c} out of range 0..{self.n}")
+        self._check(c)
         if not flags[c]:
             self._join(c, flags, self.log[side])
 
