@@ -187,7 +187,11 @@ def cmd_trace(word: str, tokens: bool):
               show_default=True, help="Size guard for the exhaustive search.")
 @click.option("--force", is_flag=True, help="Ignore the size guard.")
 def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
-    """Brute-force verdict, minimal expanding-set size and one witness."""
+    """Brute-force verdict and a minimal witness.
+
+    Prints the verdict, the size of a minimal expanding set and one
+    fixed-point morphism whose expanding set has that size.
+    """
     w = _one_word(word, tokens)
     try:
         res = min_expanding(w, max_len=None if force else max_len)

@@ -136,6 +136,8 @@ class EngineState:
         self.rent_due = n + len(self.index.count)
         # the most a query reads: one probe per class, then its letter
         self.query_cost = len(set(self.index.count)) + 1
+        # neighborhoods computed by the caller, which expand_letter uses
+        # instead of its own; run() hands over none
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.rounds: list[RoundRecord] = []
         self.counters = Counters()
@@ -145,9 +147,10 @@ class EngineState:
 def frequency_classes(index: PosIndex) -> list[Sequence[int]]:
     """Sorted occurrence positions of each distinct frequency, least first.
 
-    A letter alone in its class keeps its own tuple of positions; the
-    positions of several letters with the same frequency are merged into
-    one array of 32-bit positions, half the size of a list of them.
+    A letter alone in its class keeps its own array of positions from the
+    index; the positions of several letters with the same frequency are
+    merged into a new one.  Both are ``array("I")``, 32-bit positions, so
+    no position may exceed ``2**32 - 1`` (see ``words.PosIndex``).
     """
     groups: dict[int, list[int]] = {}
     for a, count in enumerate(index.count):
@@ -294,22 +297,32 @@ def expand_letter(state: EngineState, a: int) -> None:
     if not occ:
         raise ValueError(f"letter {a} does not occur in the word")
 
+    # the benchmark's traced run computes and times the neighborhood itself
     nb = state.neighborhoods.get(a)
     if nb is None:
         nb = neighborhood(state.word, state.index, a)
-        state.neighborhoods[a] = nb
+    left, right = nb.left_len, nb.right_len
+    first = occ[0]
     forest = state.forest
+    if first - left - 1 < 0 or first + right > forest.n:
+        raise ValueError(f"neighborhood {nb} of letter {a} leaves the word")
     log = forest.log
     log_l, log_r = log["L"], log["R"]
     old_l, old_r = len(log_l), len(log_r)
 
-    edges = forest.add_star(occ, -nb.left_len - 1, nb.right_len + 1)
+    edges = forest.add_star(occ, -left - 1, right + 1)
     cells = forest.recompress()
-    first = occ[0]
-    forest.set_flag(first - 1, "L")
-    forest.set_flag(first, "R")
-    forest.set_flag(first + nb.right_len, "L")
-    forest.set_flag(first - nb.left_len - 1, "R")
+    # the first occurrence's four cuts, flagged where not yet; the star
+    # carries each flag to every occurrence
+    fl, fr = forest.flags["L"], forest.flags["R"]
+    if not fl[first - 1]:
+        forest.set_flag(first - 1, "L")
+    if not fr[first]:
+        forest.set_flag(first, "R")
+    if not fl[first + right]:
+        forest.set_flag(first + right, "L")
+    if not fr[first - left - 1]:
+        forest.set_flag(first - left - 1, "R")
 
     # rescan from the first left cut that is new or whose right cut may have
     # moved: the smallest new L cut, and the old R cut just below the
@@ -319,13 +332,14 @@ def expand_letter(state: EngineState, a: int) -> None:
         state.scan_from = min(state.scan_from, min(log_l[old_l:]))
     if len(log_r) > old_r:
         # cut 0 is on R from the start, so a new R cut is at least 1
-        below = forest.flags["R"].rfind(1, 0, min(log_r[old_r:]))
+        below = fr.rfind(1, 0, min(log_r[old_r:]))
         state.scan_from = min(state.scan_from, below)
 
     state.expanding.add(a)
-    state.counters.visits += nb.visited
-    state.counters.edges += edges
-    state.counters.cells += cells
+    counters = state.counters
+    counters.visits += nb.visited
+    counters.edges += edges
+    counters.cells += cells
     state.rounds.append(RoundRecord(
         len(state.rounds) + 1, a, nb, state.last_scan, edges, cells,
         log, len(log_l), len(log_r),
@@ -445,13 +459,3 @@ def verify(word: Word, f: Morphism) -> bool:
     return all(
         f.apply(f.images[a]) == f.images[a] for a in range(word.alphabet_size)
     )
-
-
-def left_right_cut_check(word: Word, f: Morphism, left: list[int], right: list[int]) -> bool:
-    """Check that claimed left/right cuts are left/right cuts of ``f``.
-
-    A cut ``k`` is left if the image of the length-``k`` prefix is at most
-    ``k`` long, right if at least ``k`` long.
-    """
-    plen = prefix_image_lengths(word, f)
-    return all(plen[k] <= k for k in left) and all(plen[k] >= k for k in right)

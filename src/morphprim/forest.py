@@ -94,8 +94,10 @@ class SyncForest:
         """
         if len(occ) < 2 or hi <= lo:
             return 0
-        self._check(min(occ) + lo)
-        self._check(max(occ) + hi - 1)
+        low, high = min(occ) + lo, max(occ) + hi - 1
+        if low < 0 or high > self.n:
+            cut = low if low < 0 else high
+            raise ValueError(f"cut {cut} out of range 0..{self.n}")
         self.pending.append((occ, lo, hi))
         return (len(occ) - 1) * (hi - lo)
 

@@ -8,6 +8,7 @@ word of length ``n`` has cuts ``0 .. n``).
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, NamedTuple
 
 
@@ -108,18 +109,22 @@ class PosIndex(NamedTuple):
 
     ``pos[a][i]`` is the position of the ``i + 1``-th occurrence of letter
     ``a``; ``count[a] == len(pos[a])`` and counts sum to the word length.
+    Each ``pos[a]`` is an ``array("I")`` of 32-bit positions, so a
+    position is at most ``2**32 - 1`` (``build_index`` raises
+    ``OverflowError`` past it).  It keeps 4 bytes per position and no int
+    object, where a tuple keeps an 8-byte slot and a 32-byte int for each.
     """
 
     count: tuple[int, ...]
-    pos: tuple[tuple[int, ...], ...]
+    pos: tuple[array, ...]
 
 
 def build_index(w: Word) -> PosIndex:
     """Build the occurrence index in one left-to-right pass."""
-    occ: list[list[int]] = [[] for _ in range(w.alphabet_size)]
+    occ = [array("I") for _ in range(w.alphabet_size)]
     for p, a in enumerate(w.letters, start=1):
         occ[a].append(p)
-    return PosIndex(count=tuple(map(len, occ)), pos=tuple(map(tuple, occ)))
+    return PosIndex(count=tuple(map(len, occ)), pos=tuple(occ))
 
 
 class Neighborhood(NamedTuple):
@@ -155,7 +160,8 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
         raise ValueError(f"letter {a} does not occur in the word")
     letters, occ = w.letters, idx.pos[a]
     n, m = len(letters), len(occ)
-    first, rest = occ[0], occ[1:]
+    # a list of the later occurrences, so the walk reads no array slot
+    first, rest = occ[0], occ[1:].tolist()
     if m == 1:
         # nothing to disagree with: one position read per step, to both ends
         return Neighborhood(first - 1, n - first, n - 1)
@@ -182,7 +188,7 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
 
 
 def _first_mismatch(
-    letters: tuple[int, ...], first: int, rest: tuple[int, ...], offsets: range
+    letters: tuple[int, ...], first: int, rest: list[int], offsets: range
 ) -> tuple[int | None, int | None]:
     """The first offset ``d`` at which some occurrence in ``rest`` reads
     another letter than ``first`` does (``letters[p + d]``), and the first

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from morphprim import FactorizationResult, Morphism, Word, verify
-from morphprim.engine import Counters, left_right_cut_check, prefix_image_lengths
+from morphprim.engine import Counters, prefix_image_lengths
 from morphprim.words import PosIndex, build_index, neighborhood
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
@@ -114,6 +114,16 @@ def factor_cuts_by_definition(w: Word, f: Morphism) -> tuple[int, ...]:
     """The cuts ``k`` with ``|f(w[1..k])| = k``, from the running image length."""
     plen = prefix_image_lengths(w, f)
     return tuple(k for k, t in enumerate(plen) if t == k)
+
+
+def left_right_cut_check(w: Word, f: Morphism, left: list[int], right: list[int]) -> bool:
+    """Check that claimed left/right cuts are left/right cuts of ``f``.
+
+    A cut ``k`` is left if the image of the length-``k`` prefix is at most
+    ``k`` long, right if at least ``k`` long.
+    """
+    plen = prefix_image_lengths(w, f)
+    return all(plen[k] <= k for k in left) and all(plen[k] >= k for k in right)
 
 
 def first_violation_naive(w: Word, state) -> int | None:

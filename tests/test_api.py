@@ -37,7 +37,6 @@ INTERNALS = {
     "expand_letter": "engine",
     "find_violation": "engine",
     "image": "engine",
-    "left_right_cut_check": "engine",
     "SyncForest": "forest",
     "Neighborhood": "words",
     "PosIndex": "words",

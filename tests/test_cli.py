@@ -383,3 +383,15 @@ def test_missing_option_is_usage_error(args, message):
     assert res.exit_code == 1
     assert message in res.output
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("group", [[], ["gen"]], ids=["morphprim", "gen"])
+def test_short_helps_are_not_cut(group):
+    # a command list shows each command's first sentence, which click cuts
+    # with "..." where it does not fit; here as an 80-column terminal has it
+    # (CliRunner would lay help out 80 columns wide, 2 more than that)
+    res = run_cli([*group, "--help"], b"", {"COLUMNS": "80"})
+    assert res.returncode == 0
+    commands = res.stdout.decode().split("\nCommands:\n", 1)[1].splitlines()
+    assert commands
+    assert not [line for line in commands if line.endswith("...")]

@@ -23,10 +23,9 @@ from morphprim.engine import (
     find_violation,
     frequency_classes,
     image,
-    left_right_cut_check,
 )
 from morphprim.oracle import all_words
-from morphprim.words import build_index
+from morphprim.words import Neighborhood, build_index, neighborhood
 
 from conftest import (
     EXAMPLE_WORD,
@@ -39,6 +38,7 @@ from conftest import (
     factor_cuts_by_definition,
     first_violation_naive,
     image_by_walk,
+    left_right_cut_check,
 )
 from digest import planted_word
 
@@ -87,6 +87,33 @@ class TestExpandLetter:
     def test_absent_letter_rejected(self):
         state = EngineState(Word((0,), ("a", "b")))
         with pytest.raises(ValueError, match="does not occur"):
+            expand_letter(state, 1)
+        assert state.expanding == set()
+
+    def test_uses_a_neighborhood_handed_over(self, monkeypatch):
+        # the benchmark's traced run computes and times each neighborhood
+        # itself, then hands it over in state.neighborhoods
+        w = intern_word("abaaba")
+        state = EngineState(w)
+        b = letter_id(w, "b")
+        nb = neighborhood(w, state.index, b)
+        state.neighborhoods[b] = nb
+
+        def unexpected(*args):
+            raise AssertionError("neighborhood computed again")
+
+        monkeypatch.setattr("morphprim.engine.neighborhood", unexpected)
+        expand_letter(state, b)
+        assert state.rounds[-1].neighborhood is nb
+        assert state.forest.flagged_cuts("L") == [0, 1, 3, 4, 6]
+
+    def test_neighborhood_outside_the_word_rejected(self):
+        # a single occurrence adds no edge, so only this check keeps a
+        # negative cut from wrapping round the flag arrays
+        w = intern_word("ab")
+        state = EngineState(w)
+        state.neighborhoods[1] = Neighborhood(2, 0)
+        with pytest.raises(ValueError, match="leaves the word"):
             expand_letter(state, 1)
         assert state.expanding == set()
 
@@ -651,6 +678,19 @@ def peak_alloc(w) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_run_keeps_no_neighborhoods(monkeypatch):
+    # each round keeps its neighborhood in its record; the state keeps none
+    states = []
+
+    def recording(state, a):
+        states.append(state)
+        expand_letter(state, a)
+
+    monkeypatch.setattr("morphprim.engine.expand_letter", recording)
+    assert run(palindrome_pair_word(16)).round_count == 16
+    assert len(states) == 16 and states[0].neighborhoods == {}
 
 
 def test_rounds_hold_no_copies_of_the_cut_lists():

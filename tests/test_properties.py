@@ -238,8 +238,8 @@ def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
         left = set(state.forest.flagged_cuts("L"))
         right = set(state.forest.flagged_cuts("R"))
         parent = state.forest.parent
-        for b in state.expanding:
-            nb = state.neighborhoods[b]
+        for record in state.rounds:
+            b, nb = record.letter, record.neighborhood
             occ = state.index.pos[b]
             for k in occ:
                 assert {k - 1, k + nb.right_len} <= left

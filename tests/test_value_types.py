@@ -11,6 +11,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from array import array
 
 import pytest
 
@@ -57,8 +58,10 @@ class TestWord:
 
 def test_pos_index_fields_and_equality():
     idx = build_index(intern_word("abaaba"))
-    assert idx == PosIndex(count=(4, 2), pos=((1, 3, 4, 6), (2, 5)))
-    assert idx.count == (4, 2) and idx.pos[1] == (2, 5)
+    assert idx == PosIndex(
+        count=(4, 2), pos=(array("I", [1, 3, 4, 6]), array("I", [2, 5]))
+    )
+    assert idx.count == (4, 2) and list(idx.pos[1]) == [2, 5]
 
 
 def test_morphism_fields_equality_and_apply():

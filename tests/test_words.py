@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from morphprim import intern_word, palindrome_pair_word, random_word
@@ -47,7 +49,7 @@ class TestBuildIndex:
         a, b = 0, 1
         assert idx.count[a] == 4
         assert idx.count[b] == 2
-        assert idx.pos[b] == (2, 5)
+        assert list(idx.pos[b]) == [2, 5]
 
     def test_example_word_counts(self):
         w = intern_word(EXAMPLE_WORD)
@@ -67,6 +69,19 @@ class TestBuildIndex:
             for a, occ in enumerate(idx.pos):
                 assert list(occ) == sorted(occ)
                 assert all(at(w, p) == a for p in occ)
+
+    def test_peak_is_at_most_8_bytes_per_letter(self):
+        # positions as 4-byte array slots; as tuples of ints the index took
+        # 44 bytes per letter: an 8-byte slot and a 32-byte int for each,
+        # and the list the tuple was built from
+        w = random_word(24_000, 12, seed=1)
+        tracemalloc.start()
+        try:
+            build_index(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * w.n
 
 
 class TestNeighborhood:
