@@ -301,7 +301,7 @@ def expand_letter(state: EngineState, a: int) -> None:
     nb = state.neighborhoods.get(a)
     if nb is None:
         nb = neighborhood(state.word, state.index, a)
-    left, right = nb.left_len, nb.right_len
+    left, right, visited = nb
     first = occ[0]
     forest = state.forest
     if first - left - 1 < 0 or first + right > forest.n:
@@ -328,22 +328,27 @@ def expand_letter(state: EngineState, a: int) -> None:
     # moved: the smallest new L cut, and the old R cut just below the
     # smallest new R cut (every left cut above it may now stop earlier; no
     # new R cut lies below it)
-    if len(log_l) > old_l:
-        state.scan_from = min(state.scan_from, min(log_l[old_l:]))
+    scan_from = state.scan_from
+    for c in log_l[old_l:]:
+        if c < scan_from:
+            scan_from = c
     if len(log_r) > old_r:
         # cut 0 is on R from the start, so a new R cut is at least 1
         below = fr.rfind(1, 0, min(log_r[old_r:]))
-        state.scan_from = min(state.scan_from, below)
+        if below < scan_from:
+            scan_from = below
+    state.scan_from = scan_from
 
     state.expanding.add(a)
     counters = state.counters
-    counters.visits += nb.visited
+    counters.visits += visited
     counters.edges += edges
     counters.cells += cells
-    state.rounds.append(RoundRecord(
+    # tuple.__new__ skips the argument parsing of RoundRecord's __new__
+    state.rounds.append(tuple.__new__(RoundRecord, (
         len(state.rounds) + 1, a, nb, state.last_scan, edges, cells,
         log, len(log_l), len(log_r),
-    ))
+    )))
 
 
 def image(state: EngineState, a: int) -> tuple[int, ...]:
@@ -426,7 +431,7 @@ def run(word: Word) -> FactorizationResult:
     # at p + |y|; with nothing erased, each image and each block is one
     # letter
     if primitive:
-        images = tuple((a,) for a in range(m))
+        images = tuple(zip(range(m)))
         factor_cuts = tuple(range(word.n + 1))
     else:
         images = tuple(

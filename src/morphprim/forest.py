@@ -24,10 +24,12 @@ occurrence of a letter to the same cuts around its first occurrence, and
 merged in place at the next recompression by weighted quick-find: an edge
 between two components points every member of the smaller one at the
 larger one's root, so height one holds after every edge and no root is
-searched for.  The count of cells is one per cut pointed at a new root.
-A cut is pointed at a new root only when its component at least doubles,
-so a run over ``N = n + 1`` cuts counts at most ``(N / 2) * log2(N)``
-cells; see ``SyncForest.recompress``.
+searched for.  Most merges meet a lone cut, which takes the other's sides
+in its own bytes, with no walk and no call; the cells and the join order
+are those of the general merge.  The count of cells is one per cut pointed
+at a new root.  A cut is pointed at a new root only when its component at
+least doubles, so a run over ``N = n + 1`` cuts counts at most
+``(N / 2) * log2(N)`` cells; see ``SyncForest.recompress``.
 """
 
 from __future__ import annotations
@@ -111,11 +113,16 @@ class SyncForest:
         a time until one of them closes, which names the smaller component
         (of two the same size, the second end's) without storing any sizes.
         Where exactly one of the two components is on a side, the members
-        of the other join that side, so both end on the union of their
-        sides and no byte is cleared.  Every member of the
-        smaller component, its root included, is then pointed at the larger
-        root, and the two lists are spliced, so height one holds again after
-        every edge.
+        of the other join that side, so both end on the union of their sides
+        and no byte is cleared.  Every member of the smaller component, its
+        root included, is then pointed at the larger root, and the two lists
+        are spliced, so height one holds again after every edge.  A lone end
+        (its own ``next``) is the smaller one without a walk, and merges with
+        no call and no splice loop: it sets its own byte of each side the
+        other component is on and appends itself to that side's log, as
+        ``_join`` would; only a side that it is on and the other is not makes
+        that whole component join it through ``_join``.  The cells, flags,
+        ``parent``, ``next`` and join order are those of the general merge.
 
         Returns the number of cells: one per cut pointed at a new root.  The
         walk that compares the sizes takes fewer steps than that, so a
@@ -131,7 +138,6 @@ class SyncForest:
         parent, nxt = self.parent, self.next
         fl, fr = self.flags["L"], self.flags["R"]
         log_l, log_r = self.log["L"], self.log["R"]
-        join = self._join
         cells = 0
         for occ, lo, hi in pending:
             first = occ[0]
@@ -141,29 +147,45 @@ class SyncForest:
                     u, v = parent[c], parent[c + shift]
                     if u == v:
                         continue
-                    # walk both lists until one closes, then let v name the
-                    # smaller; v's is tested first, as the later occurrence's
-                    # component is usually the smaller one
-                    a, b = nxt[u], nxt[v]
-                    while b != v and a != u:
-                        a, b = nxt[a], nxt[b]
-                    if b != v:
-                        u, v = v, u
-                    # a side that holds one component only gains the
-                    # other's members
-                    if fl[u] != fl[v]:
-                        join(v if fl[u] else u, fl, log_l)
-                    if fr[u] != fr[v]:
-                        join(v if fr[u] else u, fr, log_r)
+                    if nxt[v] != v:
+                        # walk both lists until one closes, then let v name
+                        # the smaller; a lone u closes at the first step
+                        a, b = nxt[u], nxt[v]
+                        while b != v and a != u:
+                            a, b = nxt[a], nxt[b]
+                        if b != v:
+                            u, v = v, u
+                    if nxt[v] == v:
+                        # a lone v takes u's sides in its own bytes; u's
+                        # component joins only a side that v alone is on
+                        if fl[u] != fl[v]:
+                            if fl[u]:
+                                fl[v] = 1
+                                log_l.append(v)
+                            else:
+                                self._join(u, fl, log_l)
+                        if fr[u] != fr[v]:
+                            if fr[u]:
+                                fr[v] = 1
+                                log_r.append(v)
+                            else:
+                                self._join(u, fr, log_r)
+                    else:
+                        # a side that holds one component only gains the
+                        # other's members
+                        if fl[u] != fl[v]:
+                            self._join(v if fl[u] else u, fl, log_l)
+                        if fr[u] != fr[v]:
+                            self._join(v if fr[u] else u, fr, log_r)
+                        x = nxt[v]
+                        while x != v:
+                            parent[x] = u
+                            x = nxt[x]
+                            cells += 1
+                    # then v itself, and splice v's list in after u
                     parent[v] = u
+                    nxt[u], nxt[v] = nxt[v], nxt[u]
                     cells += 1
-                    # splice, then walk v's old list from its successor
-                    x = nxt[v]
-                    nxt[u], nxt[v] = x, nxt[u]
-                    while x != v:
-                        parent[x] = u
-                        x = nxt[x]
-                        cells += 1
         # emptied in place, so the stars are freed now, not at return
         pending.clear()
         return cells

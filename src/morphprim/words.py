@@ -156,15 +156,16 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
     them, only a rightward walk reads more, in one step that stops at the
     last occurrence.
     """
-    if not 0 <= a < w.alphabet_size or idx.count[a] == 0:
+    if not 0 <= a < len(w.symbols) or idx.count[a] == 0:
         raise ValueError(f"letter {a} does not occur in the word")
     letters, occ = w.letters, idx.pos[a]
-    n, m = len(letters), len(occ)
-    # a list of the later occurrences, so the walk reads no array slot
-    first, rest = occ[0], occ[1:].tolist()
+    n, m, first = len(letters), len(occ), occ[0]
     if m == 1:
         # nothing to disagree with: one position read per step, to both ends
-        return Neighborhood(first - 1, n - first, n - 1)
+        # (tuple.__new__ skips Neighborhood.__new__'s argument parsing)
+        return tuple.__new__(Neighborhood, (first - 1, n - first, n - 1))
+    # a list of the later occurrences, so the walk reads no array slot
+    rest = occ[1:].tolist()
     # a step at offset d reads letters[p + d] at each occurrence p, the
     # letter at 1-based position p + d + 1
     steps = n - occ[-1]
@@ -184,7 +185,7 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
     else:
         left = -d - 2
         visited += left * m + rest.index(p) + 2
-    return Neighborhood(left, right, visited)
+    return tuple.__new__(Neighborhood, (left, right, visited))
 
 
 def _first_mismatch(

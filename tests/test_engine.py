@@ -24,6 +24,7 @@ from morphprim.engine import (
     frequency_classes,
     image,
 )
+from morphprim.forest import SyncForest
 from morphprim.oracle import all_words
 from morphprim.words import Neighborhood, build_index, neighborhood
 
@@ -479,6 +480,23 @@ def test_wn_work_gate():
     r = run(palindrome_pair_word(64))
     assert r.counters.scanned <= 4_800
     assert r.counters.cells <= 5_000
+
+
+def test_wn_merges_lone_cuts_without_a_join_call(monkeypatch):
+    # wn's rounds each merge lone cuts into a component on the side they
+    # take; the lone cut sets its own bytes, so a join call per lone merge
+    # (1 022 at k = 256) would show here, whatever the machine's speed
+    calls = []
+    join = SyncForest._join
+
+    def counted(self, c, flags, log):
+        calls.append(c)
+        join(self, c, flags, log)
+
+    monkeypatch.setattr(SyncForest, "_join", counted)
+    r = run(palindrome_pair_word(256))
+    assert len(calls) <= 2
+    assert r.counters.cells == 767
 
 
 def test_wn_scan_reads_linear_work():

@@ -522,3 +522,76 @@ def test_flag_ends_matches_four_set_flag_calls(n):
         seeded.set_flag(n, side)
     assert seeded.log == stepwise.log
     assert_forest(seeded)
+
+
+def counting_joins(f):
+    """Record the cut each ``_join`` call of ``f`` starts from."""
+    calls = []
+    join = f._join
+
+    def counted(c, flags, log):
+        calls.append(c)
+        join(c, flags, log)
+
+    f._join = counted
+    return calls
+
+
+@pytest.mark.parametrize("star", [(4, 6), (6, 4)], ids=["lone-second", "lone-first"])
+def test_lone_cut_takes_the_sides_of_a_component_on_l(star):
+    # the lone cut 6 meets {2, 4}, which is on L: 6 joins L by its own
+    # byte, with no join call, and is linked in after the root 2; which end
+    # of the edge it is does not matter
+    f = SyncForest(8)
+    f.add_star((2, 4), 0, 1)
+    assert f.recompress() == 1
+    f.set_flag(2, "L")
+    assert (f.parent[4], f.next[2], f.next[4]) == (2, 4, 2)
+    assert f.log == {"L": [0, 8, 2, 4], "R": [0, 8]}
+    calls = counting_joins(f)
+    f.add_star(star, 0, 1)
+    assert f.recompress() == 1
+    assert calls == []
+    assert f.parent == [0, 1, 2, 3, 2, 5, 2, 7, 8]
+    assert (f.next[2], f.next[6], f.next[4]) == (6, 4, 2)
+    assert f.log == {"L": [0, 8, 2, 4, 6], "R": [0, 8]}
+    assert side_bytes(f) == [3, 0, 1, 0, 1, 0, 1, 0, 3]
+    assert_forest(f)
+
+
+def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
+    # {1, 3, 5} is on L and threaded 1 -> 5 -> 3; the lone cut 6 is on R.
+    # Merged, 6 takes L by its own byte, and the whole of {1, 3, 5} joins
+    # R through one join call, from the root along its member list
+    f = SyncForest(8)
+    f.add_star((1, 3, 5), 0, 1)
+    assert f.recompress() == 2
+    f.set_flag(1, "L")
+    f.set_flag(6, "R")
+    assert [f.next[c] for c in (1, 5, 3)] == [5, 3, 1]
+    calls = counting_joins(f)
+    f.add_star((3, 6), 0, 1)
+    assert f.recompress() == 1
+    assert calls == [1]
+    assert f.parent == [0, 1, 2, 1, 4, 1, 1, 7, 8]
+    assert [f.next[c] for c in (1, 6, 5, 3)] == [6, 5, 3, 1]
+    assert f.log == {"L": [0, 8, 1, 5, 3, 6], "R": [0, 8, 6, 1, 5, 3]}
+    assert side_bytes(f) == [3, 3, 0, 3, 0, 3, 3, 0, 3]
+    assert_forest(f)
+
+
+def test_two_lone_cuts_merge_the_second_into_the_first():
+    # 2 is on R and 5 on L, each alone: on the tie, 5 is pointed at 2, and
+    # each takes the other's side, 5 by its own byte and 2 by a join call
+    f = SyncForest(6)
+    f.set_flag(5, "L")
+    f.set_flag(2, "R")
+    calls = counting_joins(f)
+    f.add_star((2, 5), 0, 1)
+    assert f.recompress() == 1
+    assert calls == [2]
+    assert f.parent == [0, 1, 2, 3, 4, 2, 6]
+    assert (f.next[2], f.next[5]) == (5, 2)
+    assert f.log == {"L": [0, 6, 5, 2], "R": [0, 6, 2, 5]}
+    assert side_bytes(f) == [3, 0, 3, 0, 0, 3, 3]
+    assert_forest(f)

@@ -3,6 +3,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morphprim
 from morphprim import intern_word, min_expanding, run, verify
 from morphprim.cli import parse_word, trace_document
 from morphprim.engine import (
@@ -27,6 +28,7 @@ from conftest import (
     image_by_walk,
     neighborhood_by_walk,
 )
+import digest
 
 words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
 nonempty_words = st.text(alphabet="abcd", min_size=1, max_size=14).map(intern_word)
@@ -124,6 +126,34 @@ def test_run_agrees_with_oracle(w):
     assert result.primitive == (not oracle.proper)
     assert len(result.expanding) == oracle.size
     assert verify(w, oracle.morphism(w))
+
+
+def reversal(w):
+    """``w`` read backwards, interned afresh."""
+    return intern_word([w.symbols[a] for a in reversed(w.letters)])
+
+
+def test_reversal_keeps_verdict_and_size_on_the_digest_corpus():
+    # reversing a word and every image maps one fixed-point morphism of w
+    # onto one of its reversal, so both have the same verdict and the same
+    # |E|; the minimal set itself is not unique (ab gives {a} one way and
+    # {b} the other), so only sizes are compared.  The reversed run takes
+    # other segments, cut orders and merge orders through the same code
+    differ = []
+    for i, w in enumerate(digest.corpus(morphprim)):
+        r, s = run(w), run(reversal(w))
+        if (r.primitive, len(r.expanding)) != (s.primitive, len(s.expanding)):
+            differ.append(i)
+    assert i == 7975 and differ == []
+
+
+@given(fixed_points())
+def test_reversal_of_a_fixed_point_keeps_verdict_and_size(planted):
+    w, _ = planted
+    v = reversal(w)
+    r, s = run(w), run(v)
+    assert (s.primitive, len(s.expanding)) == (r.primitive, len(r.expanding))
+    assert_fixed_point(v, s)
 
 
 @given(st.one_of(eight_letter_words, tied_token_words()))
