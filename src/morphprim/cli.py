@@ -38,7 +38,7 @@ ARROW = "↦"
 
 def parse_word(text: str, tokens: bool) -> Word:
     """Intern one input line: UTF-8 symbols, or whitespace tokens."""
-    return intern_word(text.split() if tokens else list(text))
+    return intern_word(text.split() if tokens else text)
 
 
 def _words(words: tuple[str, ...]) -> Iterator[str]:
@@ -237,15 +237,6 @@ def cmd_gen_random(length: int, alphabet: int, seed: int, count: int):
         _emit(random_word(length, alphabet, seed + i), alphabet)
 
 
-def _bench_row(w: Word) -> tuple:
-    start = time.perf_counter_ns()
-    result = run(w)
-    elapsed = time.perf_counter_ns() - start
-    c = result.counters
-    return (w.n, w.alphabet_size, len(result.expanding), result.round_count,
-            c.scanned, c.visits, c.edges, c.cells, elapsed)
-
-
 @cli.command("bench")
 @click.argument("words", nargs=-1)
 @click.option("--wn", "wn_max", type=click.IntRange(min=1), default=None, metavar="K",
@@ -276,7 +267,13 @@ def cmd_bench(words: tuple[str, ...], wn_max: int | None, tokens: bool, as_csv: 
     header = ("n", "m", "expanding", "rounds", "scanned", "visits", "edges", "cells", "ns")
     click.echo(sep.join(header))
     for w in ws:
-        click.echo(sep.join(map(str, _bench_row(w))))
+        start = time.perf_counter_ns()
+        result = run(w)
+        elapsed = time.perf_counter_ns() - start
+        c = result.counters
+        row = (w.n, w.alphabet_size, len(result.expanding), result.round_count,
+               c.scanned, c.visits, c.edges, c.cells, elapsed)
+        click.echo(sep.join(map(str, row)))
 
 
 def main():

@@ -414,7 +414,8 @@ def run(word: Word) -> FactorizationResult:
     image of the prefix has exactly the prefix length; they delimit the
     morphic factorization induced by the returned morphism, and are read
     off the image blocks rather than by summing image lengths over the word.
-    A primitive word's images are its letters, read without the cut sets.
+    A primitive word's images are its letters, and its cut sets and factor
+    cuts are one tuple of every cut, all read without the forest.
     """
     state = EngineState(word)
     while True:
@@ -429,10 +430,10 @@ def run(word: Word) -> FactorizationResult:
     # f(w) = w and f is idempotent, so each image is x a y with x and y
     # erased, and an occurrence p of a ends its block of the factorization
     # at p + |y|; with nothing erased, each image and each block is one
-    # letter
+    # letter, and every cut is on both sides and ends a block
     if primitive:
         images = tuple(zip(range(m)))
-        factor_cuts = tuple(range(word.n + 1))
+        left_cuts = right_cuts = factor_cuts = tuple(range(word.n + 1))
     else:
         images = tuple(
             image(state, a) if a in state.expanding else () for a in range(m)
@@ -444,14 +445,16 @@ def run(word: Word) -> FactorizationResult:
             ends.extend([p + tail for p in state.index.pos[a]])
         ends.sort()
         factor_cuts = tuple(ends)
+        left_cuts = tuple(state.forest.flagged_cuts("L"))
+        right_cuts = tuple(state.forest.flagged_cuts("R"))
     morphism = Morphism(expanding=frozenset(state.expanding), images=images)
     return FactorizationResult(
         word=word,
         morphism=morphism,
         primitive=primitive,
         rounds=tuple(state.rounds),
-        left_cuts=tuple(state.forest.flagged_cuts("L")),
-        right_cuts=tuple(state.forest.flagged_cuts("R")),
+        left_cuts=left_cuts,
+        right_cuts=right_cuts,
         factor_cuts=factor_cuts,
         counters=state.counters,
     )

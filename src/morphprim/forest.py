@@ -63,10 +63,6 @@ class SyncForest:
         # buffered stars: (occurrences, lo, hi), see add_star
         self.pending: list[tuple[Sequence[int], int, int]] = []
 
-    def _check(self, c: int) -> None:
-        if not 0 <= c <= self.n:
-            raise ValueError(f"cut {c} out of range 0..{self.n}")
-
     def _join(self, c: int, flags: bytearray, log: list[int]) -> None:
         """Set ``flags`` to 1 on every member of the component of ``c``,
         which is 0 on all of them, and append each to ``log``."""
@@ -82,7 +78,8 @@ class SyncForest:
     def set_flag(self, c: int, side: Side) -> None:
         """Flag the whole component of ``c``; idempotent."""
         flags = self.flags[side]
-        self._check(c)
+        if not 0 <= c <= self.n:
+            raise ValueError(f"cut {c} out of range 0..{self.n}")
         if not flags[c]:
             self._join(c, flags, self.log[side])
 
@@ -194,7 +191,7 @@ class SyncForest:
         """All cuts flagged on ``side``, ascending.
 
         Sorts the side's join log into a new list on every call, which the
-        caller owns.  ``run`` reads each final side here once; the rounds
-        search ``flags[side]`` in place.
+        caller owns.  ``run`` reads each final side of an imprimitive word
+        here once; the rounds search ``flags[side]`` in place.
         """
         return sorted(self.log[side])

@@ -94,14 +94,6 @@ class OracleResult(NamedTuple):
         )
 
 
-def _check_guard(word: Word, max_len: int | None) -> None:
-    if max_len is not None and word.n > max_len:
-        raise WordTooLongError(
-            f"word of length {word.n} exceeds the size guard {max_len}; "
-            "raise the limit or force the search to override"
-        )
-
-
 def min_expanding(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> OracleResult:
     """Smallest expanding set admitting a factorization.
 
@@ -111,7 +103,11 @@ def min_expanding(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> Oracl
     A word longer than ``max_len`` raises ``WordTooLongError``; ``None``
     searches any length.
     """
-    _check_guard(word, max_len)
+    if max_len is not None and word.n > max_len:
+        raise WordTooLongError(
+            f"word of length {word.n} exceeds the size guard {max_len}; "
+            "raise the limit or force the search to override"
+        )
     m = word.alphabet_size
     if m == 0:
         return OracleResult(size=0, expanding=frozenset(), proper=False, images={})

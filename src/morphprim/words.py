@@ -140,7 +140,7 @@ class Neighborhood(NamedTuple):
 
     left_len: int
     right_len: int
-    visited: int = 0
+    visited: int
 
 
 def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
@@ -167,36 +167,33 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
     # a list of the later occurrences, so the walk reads no array slot
     rest = occ[1:].tolist()
     # a step at offset d reads letters[p + d] at each occurrence p, the
-    # letter at 1-based position p + d + 1
+    # letter at 1-based position p + d + 1; each of the left + right steps
+    # on which all agree reads all m, and the step that stops a walk reads
+    # up to the first occurrence that differs
     steps = n - occ[-1]
-    d, p = _first_mismatch(letters, first, rest, range(steps))
-    if p is None:
+    right, more = _first_mismatch(letters, first, rest, range(steps))
+    if right is None:
+        # the step that would take the last occurrence out of the word reads
+        # all the others when none of them differs
         right = steps
-        # the step that would take the last occurrence out of the word
-        _, p = _first_mismatch(letters, first, rest[:-1], range(steps, steps + 1))
-        visited = steps * m + (m - 1 if p is None else rest.index(p) + 2)
-    else:
-        right = d
-        visited = d * m + rest.index(p) + 2
-    d, p = _first_mismatch(letters, first, rest, range(-2, -first - 1, -1))
-    if p is None:
-        left = first - 1
-        visited += left * m
-    else:
-        left = -d - 2
-        visited += left * m + rest.index(p) + 2
-    return tuple.__new__(Neighborhood, (left, right, visited))
+        _, more = _first_mismatch(letters, first, rest[:-1], range(steps, steps + 1))
+        more = more or m - 1
+    d, seen = _first_mismatch(letters, first, rest, range(-2, -first - 1, -1))
+    left = first - 1 if d is None else -d - 2
+    return tuple.__new__(Neighborhood, (left, right, (left + right) * m + seen + more))
 
 
 def _first_mismatch(
     letters: tuple[int, ...], first: int, rest: list[int], offsets: range
-) -> tuple[int | None, int | None]:
+) -> tuple[int | None, int]:
     """The first offset ``d`` at which some occurrence in ``rest`` reads
-    another letter than ``first`` does (``letters[p + d]``), and the first
-    such occurrence; ``(None, None)`` if they agree at every offset."""
+    another letter than ``first`` does (``letters[p + d]``), and the number
+    of positions the step at ``d`` reads: ``first``'s, then ``rest``'s up to
+    and including the one that differs; ``(None, 0)`` if they agree at
+    every offset."""
     for d in offsets:
         c = letters[first + d]
         for p in rest:
             if letters[p + d] != c:
-                return d, p
-    return None, None
+                return d, rest.index(p) + 2
+    return None, 0

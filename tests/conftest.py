@@ -3,14 +3,18 @@ against, and exhaustive stability/fixed-point audits."""
 
 from __future__ import annotations
 
+import random
 from math import log2
 
 import pytest
 from hypothesis import settings
 
+import morphprim
 from morphprim import FactorizationResult, Morphism, Word, verify
 from morphprim.engine import Counters, prefix_image_lengths
 from morphprim.words import PosIndex, build_index, neighborhood
+
+from digest import planted_word
 
 EXAMPLE_WORD = "caabcaadeaabeaad"
 
@@ -211,6 +215,15 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     assert result.counters.loop_checks == e + 1
     assert result.counters.scanned <= (e + 1) * n
     assert result.counters.cells <= (n + 1) / 2 * log2(n + 1)
+
+
+def planted(seed, length):
+    """A seeded word ``f(u)``, where ``u`` holds ``length`` letters plus one
+    of each kept letter, and the number of letters ``f`` keeps."""
+    rng = random.Random(seed)
+    m = rng.randrange(3, 13)
+    kept = rng.randrange(1, m)
+    return planted_word(morphprim, rng, m, kept, length), kept
 
 
 @pytest.fixture(scope="session")

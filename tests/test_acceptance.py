@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from morphprim import (
@@ -26,6 +25,30 @@ from conftest import (
     assert_stable,
     total_work,
 )
+
+
+def det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def quadratic_fit(xs, ys):
+    """Values at ``xs`` of the least-squares parabola through the integer
+    points ``(xs, ys)``, from the normal equations, solved by Cramer's rule
+    in exact integers."""
+    s = [sum(x**k for x in xs) for k in range(5)]
+    t = [sum(x**k * y for x, y in zip(xs, ys)) for k in range(3)]
+    normal = [s[i : i + 3] for i in range(3)]
+    d = det3(normal)
+    coef = [
+        det3([row[:j] + [t[i]] + row[j + 1 :] for i, row in enumerate(normal)]) / d
+        for j in range(3)
+    ]
+    return [coef[0] + coef[1] * x + coef[2] * x * x for x in xs]
+
+
+def max_deviation(ys, fit):
+    return max(abs(y - f) / f for y, f in zip(ys, fit))
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +137,9 @@ def test_palindrome_pair_family_quadratic():
         assert result.round_count == k  # one round per letter, |w|/2 rounds
         sizes.append(w.n)
         work.append(total_work(result.counters))
-    sizes = np.array(sizes, dtype=float)
-    work = np.array(work, dtype=float)
-    fit = np.polyval(np.polyfit(sizes, work, 2), sizes)
-    rel = np.abs(work - fit) / fit
-    assert rel.max() <= 0.30, f"max deviation {rel.max():.2%}"
-    print(f"PASS quadratic family (max deviation {rel.max():.2%})")
+    rel = max_deviation(work, quadratic_fit(sizes, work))
+    assert rel <= 0.30, f"max deviation {rel:.2%}"
+    print(f"PASS quadratic family (max deviation {rel:.2%})")
 
 
 def test_linear_scaling_fixed_alphabet():
@@ -128,9 +148,8 @@ def test_linear_scaling_fixed_alphabet():
     for n in lengths:
         result = run(random_word(n, 4, seed=42))
         work.append(total_work(result.counters))
-    x = np.array(lengths, dtype=float)
-    y = np.array(work, dtype=float)
-    slope = float((x * y).sum() / (x * x).sum())  # least-squares through origin
-    rel = np.abs(y - slope * x) / (slope * x)
-    assert rel.max() <= 0.30, f"max deviation {rel.max():.2%}"
-    print(f"PASS linear scaling (max deviation {rel.max():.2%})")
+    # least squares through the origin
+    slope = sum(x * y for x, y in zip(lengths, work)) / sum(x * x for x in lengths)
+    rel = max_deviation(work, [slope * x for x in lengths])
+    assert rel <= 0.30, f"max deviation {rel:.2%}"
+    print(f"PASS linear scaling (max deviation {rel:.2%})")

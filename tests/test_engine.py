@@ -40,8 +40,8 @@ from conftest import (
     first_violation_naive,
     image_by_walk,
     left_right_cut_check,
+    planted,
 )
-from digest import planted_word
 
 
 def letter_id(w, symbol):
@@ -113,7 +113,7 @@ class TestExpandLetter:
         # negative cut from wrapping round the flag arrays
         w = intern_word("ab")
         state = EngineState(w)
-        state.neighborhoods[1] = Neighborhood(2, 0)
+        state.neighborhoods[1] = Neighborhood(2, 0, 0)
         with pytest.raises(ValueError, match="leaves the word"):
             expand_letter(state, 1)
         assert state.expanding == set()
@@ -499,6 +499,28 @@ def test_wn_merges_lone_cuts_without_a_join_call(monkeypatch):
     assert r.counters.cells == 767
 
 
+def test_primitive_run_builds_one_tuple_of_every_cut(monkeypatch):
+    # a primitive word has every cut on both sides and ending a block, so
+    # run() builds one tuple for all three and sorts no join log; an
+    # imprimitive word's sides are still read off the forest, once each
+    sides = []
+    flagged_cuts = SyncForest.flagged_cuts
+
+    def spied(self, side):
+        cuts = flagged_cuts(self, side)
+        sides.append(tuple(cuts))
+        return cuts
+
+    monkeypatch.setattr(SyncForest, "flagged_cuts", spied)
+    r = run(palindrome_pair_word(256))
+    assert sides == []
+    assert r.left_cuts is r.right_cuts is r.factor_cuts
+    assert r.left_cuts == tuple(range(513))
+    r = run(intern_word("abaaba"))
+    assert sides == [(0, 1, 3, 4, 6), (0, 2, 3, 5, 6)]
+    assert (r.left_cuts, r.right_cuts) == tuple(sides)
+
+
 def test_wn_scan_reads_linear_work():
     # range-minimum queries answer wn's long segments, so the run reads
     # about 3n in all, where suffix scans alone read about n^2 / 4
@@ -546,15 +568,6 @@ def test_factor_cuts_of_periodic_words_match_definition(text):
     w = intern_word(text)
     r = run(w)
     assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
-
-
-def planted(seed, length):
-    """A seeded word ``f(u)``, where ``u`` holds ``length`` letters plus one
-    of each kept letter, and the number of letters ``f`` keeps."""
-    rng = random.Random(seed)
-    m = rng.randrange(3, 13)
-    kept = rng.randrange(1, m)
-    return planted_word(morphprim, rng, m, kept, length), kept
 
 
 def test_planted_words_at_scale():

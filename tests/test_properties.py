@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morphprim
-from morphprim import intern_word, min_expanding, run, verify
+from morphprim import intern_word, min_expanding, palindrome_pair_word, run, verify
 from morphprim.cli import parse_word, trace_document
 from morphprim.engine import (
     EngineState,
@@ -27,6 +29,7 @@ from conftest import (
     first_violation_naive,
     image_by_walk,
     neighborhood_by_walk,
+    planted,
 )
 import digest
 
@@ -145,6 +148,35 @@ def test_reversal_keeps_verdict_and_size_on_the_digest_corpus():
         if (r.primitive, len(r.expanding)) != (s.primitive, len(s.expanding)):
             differ.append(i)
     assert i == 7975 and differ == []
+
+
+def wn_variants(k):
+    """Four ``wn`` variants over the symbols of ``palindrome_pair_word(k)``
+    and two more letters ``C`` and ``D``: a middle block ``C^k``, ``C``
+    after every letter, ``wn`` twice, and ``wn`` followed by
+    ``(CD)^(k/2) C``.  Each holds long stretches without a right cut that
+    the violation scan searches across round after round."""
+    w = palindrome_pair_word(k)
+    wn = [w.symbols[a] for a in w.letters]
+    return [
+        wn[:k] + ["C"] * k + wn[k:],
+        [s for a in wn for s in (a, "C")],
+        wn + wn,
+        wn + ["C", "D"] * (k // 2) + ["C"],
+    ]
+
+
+def test_reversal_keeps_verdict_and_size_past_the_digest_corpus():
+    # the 20 planted words of test_engine (n up to 20 565), five planted
+    # words shaped like the benchmark's (n from 12 991 to 19 033) and the
+    # wn variants at k = 256 and 1 024; the middle block and wn twice are
+    # palindromes, so only the other two variants reverse to a new word
+    ws = [planted(seed, random.Random(-seed).randrange(200, 2001))[0] for seed in range(20)]
+    ws += [digest.planted_word(morphprim, random.Random(seed), 12, 3, 3000) for seed in range(5)]
+    ws += [intern_word(v) for k in (256, 1024) for v in wn_variants(k)]
+    for w in ws:
+        r, s = run(w), run(reversal(w))
+        assert (s.primitive, len(s.expanding)) == (r.primitive, len(r.expanding)), w.n
 
 
 @given(fixed_points())

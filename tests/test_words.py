@@ -111,6 +111,20 @@ class TestNeighborhood:
         with pytest.raises(ValueError):
             neighborhood(w, build_index(w), 5)
 
+    @pytest.mark.parametrize("text,expected", [
+        ("ababab", (0, 1, 5)), ("ababbab", (0, 1, 5)),
+        ("abababab", (0, 1, 7)), ("ababbabbab", (0, 1, 6)),
+    ])
+    def test_step_that_takes_the_last_occurrence_out(self, text, expected):
+        # the last a ends one letter before the word, so the right walk ends
+        # with a step that stops at the last occurrence: in ababab and
+        # abababab no occurrence differs there and the step reads all but
+        # the last; in ababbab and ababbabbab the second one differs, and the
+        # step reads the first two
+        w = intern_word(text)
+        idx = build_index(w)
+        assert tuple(neighborhood(w, idx, 0)) == expected == neighborhood_by_walk(w, idx, 0)
+
     def test_visit_bound(self, small_corpus):
         for w in small_corpus:
             idx = build_index(w)
