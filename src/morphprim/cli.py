@@ -20,14 +20,14 @@ from typing import Iterator
 
 import click
 
-from .engine import FactorizationResult, Morphism, run
+from .engine import FactorizationResult, run
 from .generate import palindrome_pair_word, random_word
 from .oracle import (
     DEFAULT_SIZE_GUARD,
     WordTooLongError,
     min_expanding,
 )
-from .words import Word, intern_word
+from .words import Morphism, Word, intern_word
 
 # exit-code contract above reserves 2 for guard refusals; usage errors are 1
 click.UsageError.exit_code = 1
@@ -80,13 +80,12 @@ def _final_block(word: Word, result: FactorizationResult, sep: str) -> dict:
     }
 
 
-def trace_document(word: Word, result: FactorizationResult, tokens: bool = False) -> dict:
-    """Full round-by-round document; serializes deterministically."""
-    # tokens are space-separated, symbols are single code points
-    sep = " " if tokens else ""
+def trace_document(word: Word, result: FactorizationResult, sep: str = "") -> dict:
+    """Full round-by-round document, rendered with ``sep`` between letters;
+    serializes deterministically."""
     rounds = [
         {
-            "round": r.number,
+            "round": number,
             "letter": word.symbols[r.letter],
             "neighborhood": {
                 "left": r.neighborhood.left_len,
@@ -95,7 +94,7 @@ def trace_document(word: Word, result: FactorizationResult, tokens: bool = False
             "L": list(r.left_cuts),
             "R": list(r.right_cuts),
         }
-        for r in result.rounds
+        for number, r in enumerate(result.rounds, start=1)
     ]
     return {
         "word": word.render(sep=sep),
@@ -111,8 +110,9 @@ def trace_document(word: Word, result: FactorizationResult, tokens: bool = False
     }
 
 
-def _one_word(word: str, tokens: bool) -> Word:
-    return parse_word(next(_words((word,))), tokens)
+def _one_word(word: str, tokens: bool) -> tuple[Word, str]:
+    """The word, and the separator it renders back with (tokens are spaced)."""
+    return parse_word(next(_words((word,))), tokens), " " if tokens else ""
 
 
 def _dump(doc: dict) -> str:
@@ -148,9 +148,8 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
 @click.option("--json", "as_json", is_flag=True, help="Emit the final block as JSON.")
 def cmd_factorize(word: str, tokens: bool, as_json: bool):
     """Print the witness morphism and the factor segmentation."""
-    w = _one_word(word, tokens)
+    w, sep = _one_word(word, tokens)
     result = run(w)
-    sep = " " if tokens else ""
     if as_json:
         click.echo(_dump(_final_block(w, result, sep)))
         return
@@ -176,8 +175,8 @@ def cmd_trace(word: str, tokens: bool):
     recompress_cells     cuts recompression points at a new root
     loop_checks          violation checks: one per round, plus the last
     """
-    w = _one_word(word, tokens)
-    click.echo(_dump(trace_document(w, run(w), tokens)))
+    w, sep = _one_word(word, tokens)
+    click.echo(_dump(trace_document(w, run(w), sep)))
 
 
 @cli.command("oracle")
@@ -192,7 +191,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     Prints the verdict, the size of a minimal expanding set and one
     fixed-point morphism whose expanding set has that size.
     """
-    w = _one_word(word, tokens)
+    w, sep = _one_word(word, tokens)
     try:
         res = min_expanding(w, max_len=None if force else max_len)
     except WordTooLongError as exc:
@@ -202,7 +201,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     click.echo(f"{word}\t{verdict}")
     click.echo(f"min_expanding\t{res.size}")
     if w.alphabet_size:
-        line = _morphism_line(w, res.morphism(w), " " if tokens else "")
+        line = _morphism_line(w, res.morphism(w), sep)
         click.echo(f"witness\t{line}")
 
 

@@ -59,14 +59,14 @@ from .words import Morphism, Neighborhood, PosIndex, Word, build_index, neighbor
 
 
 class RoundRecord(NamedTuple):
-    """What one round of the main loop did.
+    """What one round of the main loop did; a round's number is its place
+    in ``rounds``, counted from 1.
 
     The L/R cuts after the round are the first ``left_size`` and
     ``right_size`` cuts of the forest's join logs (``log``), which only
     grow; ``left_cuts`` and ``right_cuts`` sort them when read.
     """
 
-    number: int
     letter: int
     neighborhood: Neighborhood
     scanned: int
@@ -293,15 +293,13 @@ def expand_letter(state: EngineState, a: int) -> None:
     """
     if a in state.expanding:
         raise ValueError(f"letter {a} is already expanding")
-    occ = state.index.pos[a]
-    if not occ:
-        raise ValueError(f"letter {a} does not occur in the word")
-
-    # the benchmark's traced run computes and times the neighborhood itself
+    # the benchmark's traced run computes and times the neighborhood itself;
+    # neighborhood rejects a letter that does not occur
     nb = state.neighborhoods.get(a)
     if nb is None:
         nb = neighborhood(state.word, state.index, a)
     left, right, visited = nb
+    occ = state.index.pos[a]
     first = occ[0]
     forest = state.forest
     if first - left - 1 < 0 or first + right > forest.n:
@@ -346,7 +344,7 @@ def expand_letter(state: EngineState, a: int) -> None:
     counters.cells += cells
     # tuple.__new__ skips the argument parsing of RoundRecord's __new__
     state.rounds.append(tuple.__new__(RoundRecord, (
-        len(state.rounds) + 1, a, nb, state.last_scan, edges, cells,
+        a, nb, state.last_scan, edges, cells,
         log, len(log_l), len(log_r),
     )))
 

@@ -111,9 +111,9 @@ def outputs_and_work(mp, w) -> tuple[tuple, tuple]:
         r.left_cuts,
         r.right_cuts,
         tuple(
-            (rr.number, rr.letter, tuple(rr.neighborhood), rr.edges,
+            (number, rr.letter, tuple(rr.neighborhood), rr.edges,
              rr.left_cuts, rr.right_cuts)
-            for rr in r.rounds
+            for number, rr in enumerate(r.rounds, start=1)
         ),
         (c.visits, c.edges, c.loop_checks),
     )

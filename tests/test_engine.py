@@ -86,10 +86,13 @@ class TestExpandLetter:
             expand_letter(state, 1)
 
     def test_absent_letter_rejected(self):
-        state = EngineState(Word((0,), ("a", "b")))
-        with pytest.raises(ValueError, match="does not occur"):
-            expand_letter(state, 1)
-        assert state.expanding == set()
+        # a symbol the word does not hold, and a letter past its alphabet;
+        # both are refused by the one check in words.neighborhood
+        for w, a in [(Word((0,), ("a", "b")), 1), (intern_word("ab"), 2)]:
+            state = EngineState(w)
+            with pytest.raises(ValueError, match="does not occur"):
+                expand_letter(state, a)
+            assert state.expanding == set()
 
     def test_uses_a_neighborhood_handed_over(self, monkeypatch):
         # the benchmark's traced run computes and times each neighborhood

@@ -32,6 +32,7 @@ from conftest import (
     planted,
 )
 import digest
+from reference import reference_rounds
 
 words = st.text(alphabet="abcd", min_size=0, max_size=14).map(intern_word)
 nonempty_words = st.text(alphabet="abcd", min_size=1, max_size=14).map(intern_word)
@@ -148,6 +149,20 @@ def test_reversal_keeps_verdict_and_size_on_the_digest_corpus():
         if (r.primitive, len(r.expanding)) != (s.primitive, len(s.expanding)):
             differ.append(i)
     assert i == 7975 and differ == []
+
+
+def test_rounds_match_the_reference_engine_on_the_digest_corpus():
+    # every round's letter and L/R cuts, against tests/reference.py, which
+    # recomputes each round from the definitions; the corpus words of at
+    # most 2 000 letters hold all but the longest random and periodic words
+    checked, differ = 0, []
+    for i, w in enumerate(digest.corpus(morphprim)):
+        if w.n <= 2000:
+            got = [(r.letter, r.left_cuts, r.right_cuts) for r in run(w).rounds]
+            checked += 1
+            if got != reference_rounds(w):
+                differ.append(i)
+    assert checked == 7932 and differ == []
 
 
 def wn_variants(k):
@@ -340,6 +355,8 @@ def test_image_occurrence_independence(w):
 def test_trace_document_round_trips(w):
     import json
 
-    doc = trace_document(w, run(w))
+    result = run(w)
+    doc = trace_document(w, result)
+    assert [r["round"] for r in doc["rounds"]] == list(range(1, len(result.rounds) + 1))
     dumped = json.dumps(doc, sort_keys=True, ensure_ascii=False)
     assert json.dumps(json.loads(dumped), sort_keys=True, ensure_ascii=False) == dumped
