@@ -3,8 +3,10 @@
 Subcommands: ``check`` (verdicts for words from args or stdin),
 ``factorize`` (witness morphism), ``trace`` (round-by-round JSON document),
 ``oracle`` (brute-force cross-check), ``gen wn`` and ``gen random`` (word
-families) and ``bench`` (work-counter rows for words from args or stdin, or
-with ``--wn K`` for the ``wn`` family).
+families) and ``bench`` (CSV rows for words from args or stdin, or with
+``--wn K`` for the ``wn`` family).  ``trace`` and ``bench`` name the work
+counters as ``Counters`` does: ``scanned``, ``visits``, ``edges`` and
+``cells``.
 
 Exit codes: 0 ok, 1 usage error, 2 size-guard refusal, 3 I/O failure.  A
 command whose stdout has no reader left also exits 1, with nothing on
@@ -68,45 +70,37 @@ def _morphism_line(word: Word, f: Morphism, sep: str) -> str:
     )
 
 
-def _final_block(word: Word, result: FactorizationResult, sep: str) -> dict:
-    return {
-        "primitive": result.primitive,
-        "expanding": sorted(word.symbols[a] for a in result.expanding),
-        "images": {
-            word.symbols[a]: word.render(img, sep)
-            for a, img in enumerate(result.morphism.images)
-        },
-        "factor_cuts": list(result.factor_cuts),
-    }
-
-
 def trace_document(word: Word, result: FactorizationResult, sep: str = "") -> dict:
     """Full round-by-round document, rendered with ``sep`` between letters;
     serializes deterministically."""
-    rounds = [
-        {
-            "round": number,
-            "letter": word.symbols[r.letter],
-            "neighborhood": {
-                "left": r.neighborhood.left_len,
-                "right": r.neighborhood.right_len,
-            },
-            "L": list(r.left_cuts),
-            "R": list(r.right_cuts),
-        }
-        for number, r in enumerate(result.rounds, start=1)
-    ]
+    c = result.counters
     return {
         "word": word.render(sep=sep),
-        "rounds": rounds,
-        "final": _final_block(word, result, sep),
-        "counters": {
-            "positions_scanned": result.counters.scanned,
-            "neighborhood_visits": result.counters.visits,
-            "edges_added": result.counters.edges,
-            "recompress_cells": result.counters.cells,
-            "loop_checks": result.counters.loop_checks,
+        "rounds": [
+            {
+                "round": number,
+                "letter": word.symbols[r.letter],
+                "neighborhood": {
+                    "left": r.neighborhood.left_len,
+                    "right": r.neighborhood.right_len,
+                },
+                "L": list(r.left_cuts),
+                "R": list(r.right_cuts),
+                "counters": {"scanned": r.scanned, "visits": r.neighborhood.visited,
+                             "edges": r.edges, "cells": r.cells},
+            }
+            for number, r in enumerate(result.rounds, start=1)
+        ],
+        "final": {
+            "primitive": result.primitive,
+            "expanding": sorted(word.symbols[a] for a in result.expanding),
+            "images": {
+                word.symbols[a]: word.render(img, sep)
+                for a, img in enumerate(result.morphism.images)
+            },
+            "factor_cuts": list(result.factor_cuts),
         },
+        "counters": {name: getattr(c, name) for name in c.__slots__},
     }
 
 
@@ -145,14 +139,10 @@ def cmd_check(words: tuple[str, ...], tokens: bool):
 @cli.command("factorize")
 @click.argument("word")
 @tokens_option
-@click.option("--json", "as_json", is_flag=True, help="Emit the final block as JSON.")
-def cmd_factorize(word: str, tokens: bool, as_json: bool):
+def cmd_factorize(word: str, tokens: bool):
     """Print the witness morphism and the factor segmentation."""
     w, sep = _one_word(word, tokens)
     result = run(w)
-    if as_json:
-        click.echo(_dump(_final_block(w, result, sep)))
-        return
     click.echo(_morphism_line(w, result.morphism, sep))
     cuts = result.factor_cuts
     click.echo("|".join(
@@ -168,12 +158,12 @@ def cmd_trace(word: str, tokens: bool):
     """Print the full round-by-round trace as JSON.
 
     \b
-    Its counters, each summed over the run:
-    positions_scanned    positions the violation scan reads, and its queries' probes
-    neighborhood_visits  positions a step-by-step neighborhood walk would read (a model)
-    edges_added          synchronization edges added to the forest
-    recompress_cells     cuts recompression points at a new root
-    loop_checks          violation checks: one per round, plus the last
+    Its counters, per round and summed over the run:
+    scanned      positions the violation scan reads, and its queries' probes
+    visits       positions a step-by-step neighborhood walk would read (a model)
+    edges        synchronization edges added to the forest
+    cells        cuts recompression points at a new root
+    loop_checks  violation checks: one per round, plus the last (run only)
     """
     w, sep = _one_word(word, tokens)
     click.echo(_dump(trace_document(w, run(w), sep)))
@@ -184,8 +174,7 @@ def cmd_trace(word: str, tokens: bool):
 @tokens_option
 @click.option("--max-len", type=click.IntRange(min=0), default=DEFAULT_SIZE_GUARD,
               show_default=True, help="Size guard for the exhaustive search.")
-@click.option("--force", is_flag=True, help="Ignore the size guard.")
-def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
+def cmd_oracle(word: str, tokens: bool, max_len: int):
     """Brute-force verdict and a minimal witness.
 
     Prints the verdict, the size of a minimal expanding set and one
@@ -193,7 +182,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int, force: bool):
     """
     w, sep = _one_word(word, tokens)
     try:
-        res = min_expanding(w, max_len=None if force else max_len)
+        res = min_expanding(w, max_len=max_len)
     except WordTooLongError as exc:
         click.echo(f"refused: {exc}", err=True)
         sys.exit(2)
@@ -241,18 +230,13 @@ def cmd_gen_random(length: int, alphabet: int, seed: int, count: int):
 @click.option("--wn", "wn_max", type=click.IntRange(min=1), default=None, metavar="K",
               help="Rows for the wn family, k = 1 .. K, in place of words.")
 @tokens_option
-@click.option("--csv", "as_csv", is_flag=True, help="Emit CSV with a header row.")
-def cmd_bench(words: tuple[str, ...], wn_max: int | None, tokens: bool, as_csv: bool):
-    """Work-counter rows, one per word.
+def cmd_bench(words: tuple[str, ...], wn_max: int | None, tokens: bool):
+    """Work-counter rows, one per word, as CSV with a header row.
 
     The words are the arguments, or else the lines of stdin, or with --wn K
     the wn family for k = 1 .. K.  A row holds n, m, |E|, rounds, the four
-    work counters and nanoseconds.
-
-    The counters are positions read by the violation scan (scanned), the
-    positions a step-by-step neighborhood walk would read (visits),
-    synchronization edges added (edges) and cuts recompression points at a
-    new root (cells), summed over the run.
+    work counters scanned, visits, edges and cells (as in trace), summed
+    over the run, and nanoseconds.
     """
     if wn_max is None:
         ws = (parse_word(line, tokens) for line in _words(words))
@@ -262,9 +246,7 @@ def cmd_bench(words: tuple[str, ...], wn_max: int | None, tokens: bool, as_csv: 
         ws = map(palindrome_pair_word, range(1, wn_max + 1))
 
     # each row is decided and printed as its word is read
-    sep = "," if as_csv else "\t"
-    header = ("n", "m", "expanding", "rounds", "scanned", "visits", "edges", "cells", "ns")
-    click.echo(sep.join(header))
+    click.echo("n,m,expanding,rounds,scanned,visits,edges,cells,ns")
     for w in ws:
         start = time.perf_counter_ns()
         result = run(w)
@@ -272,7 +254,7 @@ def cmd_bench(words: tuple[str, ...], wn_max: int | None, tokens: bool, as_csv: 
         c = result.counters
         row = (w.n, w.alphabet_size, len(result.expanding), result.round_count,
                c.scanned, c.visits, c.edges, c.cells, elapsed)
-        click.echo(sep.join(map(str, row)))
+        click.echo(",".join(map(str, row)))
 
 
 def main():

@@ -459,7 +459,13 @@ def run(word: Word) -> FactorizationResult:
 
 
 def verify(word: Word, f: Morphism) -> bool:
-    """True iff ``f`` fixes the word and is idempotent."""
+    """True iff ``f`` fixes the word and is idempotent.
+
+    ``f`` needs an image for each letter of the word's alphabet; fewer
+    raise ``ValueError``.
+    """
+    if (k := len(f.images)) < word.alphabet_size:
+        raise ValueError(f"morphism has images for {k} of {word.alphabet_size} letters")
     if f.apply(word.letters) != word.letters:
         return False
     return all(

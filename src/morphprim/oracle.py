@@ -106,7 +106,7 @@ def min_expanding(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> Oracl
     if max_len is not None and word.n > max_len:
         raise WordTooLongError(
             f"word of length {word.n} exceeds the size guard {max_len}; "
-            "raise the limit or force the search to override"
+            "raise the limit to search it"
         )
     m = word.alphabet_size
     if m == 0:

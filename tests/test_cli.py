@@ -24,7 +24,7 @@ def invoke(*args, input=None):
 # locale's surrogate escapes, and strict UTF-8
 STDIN_ENVS = [{}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}]
 
-BENCH_TABLE_HEADER = b"n\tm\texpanding\trounds\tscanned\tvisits\tedges\tcells\tns\n"
+BENCH_HEADER = b"n,m,expanding,rounds,scanned,visits,edges,cells,ns\n"
 
 CLI = [sys.executable, "-m", "morphprim.cli"]
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -138,7 +138,7 @@ class TestCheck(ReadsWords):
 
 
 class TestBench(ReadsWords):
-    command = ("bench", "--csv")
+    command = ("bench",)
     # every column but the wall time
     HEADER = "n,m,expanding,rounds,scanned,visits,edges,cells"
     COUNTS = {
@@ -155,7 +155,7 @@ class TestBench(ReadsWords):
         return [self.HEADER] + [self.COUNTS[word] for word in words]
 
     def test_wn_family_csv(self):
-        res = invoke("bench", "--wn", "4", "--csv")
+        res = invoke("bench", "--wn", "4")
         lines = res.output.splitlines()
         assert lines[0] == self.HEADER + ",ns"
         for k, line in enumerate(lines[1:], start=1):
@@ -168,27 +168,19 @@ class TestBench(ReadsWords):
         # points one lone cut at a new root
         assert lines[1].split(",")[4:8] == ["1", "1", "2", "2"]
 
-    def test_table_matches_csv(self):
-        args = ("bench", "--wn", "3")
-        table = [line.split("\t") for line in invoke(*args).output.splitlines()]
-        csv = [line.split(",") for line in invoke(*args, "--csv").output.splitlines()]
-        assert table[0] == csv[0]
-        # every column but the wall time
-        assert [row[:-1] for row in table] == [row[:-1] for row in csv]
-
     @pytest.mark.parametrize("k", [1, 3, 26, 27, 30])
     def test_wn_rows_match_gen_piped_to_bench(self, k):
         # gen spaces the letters of wn once k passes z, and bench reads
         # them back as tokens
-        sweep = self.rows(invoke("bench", "--wn", "30", "--csv").output)
+        sweep = self.rows(invoke("bench", "--wn", "30").output)
         tokens = ("--tokens",) if k > 26 else ()
-        piped = self.rows(invoke("bench", "--csv", *tokens,
+        piped = self.rows(invoke("bench", *tokens,
                                  input=invoke("gen", "wn", str(k)).output).output)
         assert piped == [self.HEADER, sweep[k]]
 
     def test_gen_random_past_26_letters_reads_as_tokens(self):
         words = invoke("gen", "random", "--len", "4", "--alphabet", "30", "--count", "20").output
-        rows = self.rows(invoke("bench", "--csv", "--tokens", input=words).output)
+        rows = self.rows(invoke("bench", "--tokens", input=words).output)
         assert len(rows) == 21
         assert all(row.split(",")[0] == "4" for row in rows[1:])
 
@@ -201,7 +193,7 @@ def test_malformed_utf8_argument_exit_code(command, env):
     res = run_cli([command, b"ab\xffa"], b"", env)
     assert res.returncode == 3
     # bench prints its header before it reads a word
-    assert res.stdout == (BENCH_TABLE_HEADER if command == "bench" else b"")
+    assert res.stdout == (BENCH_HEADER if command == "bench" else b"")
     assert res.stderr.startswith(b"error: cannot read input: ")
 
 
@@ -235,14 +227,6 @@ class TestFactorize:
         res = invoke("factorize", "a")
         assert res.output.splitlines() == ["a↦a", "a", "primitive"]
 
-    def test_json(self):
-        res = invoke("factorize", "abaaba", "--json")
-        doc = json.loads(res.output)
-        assert doc["primitive"] is False
-        assert doc["images"] == {"a": "", "b": "aba"}
-        assert doc["expanding"] == ["b"]
-        assert doc["factor_cuts"] == [0, 3, 6]
-
 
 class TestTrace:
     def test_example_rounds(self):
@@ -256,6 +240,13 @@ class TestTrace:
         assert doc["final"]["images"] == {
             "a": "", "b": "aab", "c": "c", "d": "aad", "e": "e",
         }
+
+    def test_final_block(self):
+        final = json.loads(invoke("trace", "abaaba").output)["final"]
+        assert final["primitive"] is False
+        assert final["images"] == {"a": "", "b": "aba"}
+        assert final["expanding"] == ["b"]
+        assert final["factor_cuts"] == [0, 3, 6]
 
     def test_abba_two_rounds(self):
         doc = json.loads(invoke("trace", "abba").output)
@@ -285,12 +276,11 @@ class TestOracle:
 
     def test_guard_override(self):
         assert invoke("oracle", "a" * 17, "--max-len", "20").exit_code == 0
-        assert invoke("oracle", "a" * 17, "--force").exit_code == 0
 
     def test_force_search_deeper_than_recursion_limit(self):
         # {a} is tried first, with 1 200 blocks in a row before it fails
         word = "ab" * 1200 + "c"
-        res = invoke("oracle", "--force", word)
+        res = invoke("oracle", "--max-len", str(len(word)), word)
         assert res.exit_code == 0
         assert res.output.splitlines()[:2] == [f"{word}\timprimitive", "min_expanding\t1"]
 
@@ -337,8 +327,9 @@ class TestGen:
         assert invoke("gen", "wn").exit_code == 1
 
 
-# a mode given a second mode, or another mode's option or words: refused
-# before any word is generated, read or benchmarked
+# a mode given a second mode, or another mode's option or words, or an
+# option the CLI no longer has: refused before any word is generated, read
+# or benchmarked
 @pytest.mark.parametrize("args", [
     ["gen", "wn", "2", "random"],
     ["gen", "wn", "2", "--len", "5"],
@@ -349,8 +340,12 @@ class TestGen:
     ["bench", "--wn", "2", "abba"],
     ["bench", "--wn", "2", "--tokens"],
     ["bench", "--n-max", "3", "abba"],
+    ["factorize", "abaaba", "--json"],
+    ["oracle", "a", "--force"],
+    ["bench", "--csv", "abba"],
 ], ids=["gen-both-modes", "gen-wn-len", "gen-wn-alphabet", "gen-wn-seed", "gen-wn-count",
-        "gen-random-n", "bench-wn-words", "bench-wn-tokens", "bench-words-n-max"])
+        "gen-random-n", "bench-wn-words", "bench-wn-tokens", "bench-words-n-max",
+        "factorize-json", "oracle-force", "bench-csv"])
 def test_mode_mix_is_usage_error(args):
     res = invoke(*args, input="ab\n")
     assert res.exit_code == 1

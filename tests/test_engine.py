@@ -300,6 +300,13 @@ class TestVerify:
         # g(w) = ba != w
         assert not verify(w, g)
 
+    def test_too_few_images_rejected(self):
+        w = intern_word("abaaba")
+        with pytest.raises(ValueError, match="images for 1 of 2 letters"):
+            verify(w, Morphism(frozenset(), ((),)))
+        # images past the word's alphabet are not read
+        assert verify(w, Morphism(frozenset({1}), ((), (0, 1, 0), (2,))))
+
 
 class TestLeftRightCutCheck:
     def test_abaaba_final_cuts(self):

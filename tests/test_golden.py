@@ -26,7 +26,7 @@ import digest
 
 OUTPUTS = "3daf781abe1f1747b9e206bba221ac49f0cbd66afcc63ca3ebbceb7c6184ec0b"
 WORK = "f9f0366538c7160f1602b70f85f61a7572e7523ce6dd6a0d8f6f0dff0300e4de"
-TRACES = "b96cdb1a26e2cd29b6fd90b6808f5c4403dde976c6ef7b6dda79828add7e497d"
+TRACES = "b14108fc637b676c96cebf4562d2d892f0c06b60d16a673882ccf453850dccc4"
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import morphprim
 from morphprim import intern_word, min_expanding, palindrome_pair_word, run, verify
 from morphprim.cli import parse_word, trace_document
 from morphprim.engine import (
+    Counters,
     EngineState,
     alpha_query,
     expand_letter,
@@ -358,5 +359,16 @@ def test_trace_document_round_trips(w):
     result = run(w)
     doc = trace_document(w, result)
     assert [r["round"] for r in doc["rounds"]] == list(range(1, len(result.rounds) + 1))
+    c = result.counters
+    assert doc["counters"] == {name: getattr(c, name) for name in Counters.__slots__}
+    per_round = [r["counters"] for r in doc["rounds"]]
+    assert per_round == [
+        {"scanned": r.scanned, "visits": r.neighborhood.visited, "edges": r.edges, "cells": r.cells}
+        for r in result.rounds
+    ]
+    for name in ("visits", "edges", "cells"):
+        assert sum(r[name] for r in per_round) == doc["counters"][name]
+    # the final violation check's scan belongs to no round
+    assert sum(r["scanned"] for r in per_round) <= c.scanned
     dumped = json.dumps(doc, sort_keys=True, ensure_ascii=False)
     assert json.dumps(json.loads(dumped), sort_keys=True, ensure_ascii=False) == dumped
