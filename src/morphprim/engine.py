@@ -422,6 +422,8 @@ def run(word: Word) -> FactorizationResult:
         if a is None:
             break
         expand_letter(state, a)
+    # the readout reads only the sides and their logs
+    state.forest.release()
 
     m = word.alphabet_size
     primitive = len(state.expanding) == m

@@ -30,6 +30,14 @@ are those of the general merge.  The count of cells is one per cut pointed
 at a new root.  A cut is pointed at a new root only when its component at
 least doubles, so a run over ``N = n + 1`` cuts counts at most
 ``(N / 2) * log2(N)`` cells; see ``SyncForest.recompress``.
+
+Once no letter violates, ``run`` releases the forest (``release``) before
+it reads the result: the union-find, ``parent`` and ``next``, two lists of
+``n + 1`` ints that the readout never reads, is freed.  The forest keeps
+``n``, the sides (``flags``), their join logs (``log``), which the rounds'
+records share, and its emptied star buffer.  The readout's own lists are
+then allocated beside the sides and logs alone, so a run's memory peaks in
+its last round, not in its readout.
 """
 
 from __future__ import annotations
@@ -187,11 +195,26 @@ class SyncForest:
         pending.clear()
         return cells
 
+    def release(self) -> None:
+        """Free ``parent`` and ``next``, which only merges and member walks
+        read; ``n``, ``flags``, ``log`` and ``pending`` stay.
+
+        ``run`` calls it once the last violation check finds none, before
+        it reads the images (``flags``) and the final sides
+        (``flagged_cuts``, from ``log``), so that those reads do not add to
+        a peak that holds the union-find.  A released forest takes no more
+        stars and no more flags: ``recompress`` with a star pending, or
+        ``set_flag`` on a cut not yet on the side, raises
+        ``AttributeError``.
+        """
+        del self.parent, self.next
+
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts flagged on ``side``, ascending.
 
         Sorts the side's join log into a new list on every call, which the
         caller owns.  ``run`` reads each final side of an imprimitive word
-        here once; the rounds search ``flags[side]`` in place.
+        here once, from the released forest; the rounds search
+        ``flags[side]`` in place.
         """
         return sorted(self.log[side])

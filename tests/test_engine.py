@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -42,6 +41,7 @@ from conftest import (
     left_right_cut_check,
     planted,
 )
+from peak import peak_alloc
 
 
 def letter_id(w, symbol):
@@ -121,6 +121,18 @@ class TestExpandLetter:
             expand_letter(state, 1)
         assert state.expanding == set()
 
+    def test_neighborhood_past_the_end_rejected(self, monkeypatch):
+        # 'a' at 1 with right = 2 reaches cut 3 of "ab", which the flag
+        # reads would meet as an IndexError
+        w = intern_word("ab")
+        state = EngineState(w)
+        monkeypatch.setattr(
+            "morphprim.engine.neighborhood", lambda *args: Neighborhood(0, 2, 0)
+        )
+        with pytest.raises(ValueError, match="leaves the word"):
+            expand_letter(state, 0)
+        assert state.expanding == set()
+
 
 class TestFindViolation:
     def test_initial_example(self):
@@ -142,6 +154,8 @@ class TestFindViolation:
         for s in "cbde":
             expand_letter(state, letter_id(w, s))
         assert find_violation(state) is None
+        # a check that scans and finds none leaves scan_from just past n
+        assert state.scan_from == w.n + 1
 
     def test_abba_after_round_one(self):
         w = intern_word("abba")
@@ -712,15 +726,6 @@ def test_round_records_replay_the_cut_lists_of_each_round():
         assert [(r.left_cuts, r.right_cuts) for r in run(w).rounds] == seen
 
 
-def peak_alloc(w) -> int:
-    tracemalloc.start()
-    try:
-        run(w)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_run_keeps_no_neighborhoods(monkeypatch):
     # each round keeps its neighborhood in its record; the state keeps none
     states = []
@@ -740,3 +745,10 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
     # k = 256 to k = 1024); without copies it grows about linearly
     small, large = palindrome_pair_word(256), palindrome_pair_word(1024)
     assert peak_alloc(large) <= 6 * peak_alloc(small)
+
+
+def test_readout_runs_without_the_union_find():
+    # run() releases parent and next before its readout, so the peak is
+    # the last round's; holding them through the readout reads 76 B/letter
+    w = intern_word("abccc" * 4000)
+    assert peak_alloc(w) <= 70 * w.n

@@ -157,14 +157,14 @@ def test_add_star_buffered_until_recompress():
     assert f.parent[3] == f.parent[0]
 
 
-@pytest.mark.parametrize("star", [
-    ((1, 3), -2, 1),  # low end: 1 - 2 = -1
-    ((0, 3), 0, 3),  # high end: 3 + 3 - 1 = 5
-    ((3, 0), -1, 1),  # the extremes, whatever the order
+@pytest.mark.parametrize("star, cut", [
+    (((1, 3), -2, 1), -1),  # low end: 1 - 2 = -1
+    (((0, 3), 0, 3), 5),  # high end 3 + 3 - 1 = 5, with the low end at 0
+    (((3, 0), -1, 1), -1),  # the extremes, whatever the order
 ], ids=["low", "high", "unsorted"])
-def test_add_star_out_of_range(star):
+def test_add_star_out_of_range(star, cut):
     f = SyncForest(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^cut {cut} out of range 0\.\.4$"):
         f.add_star(*star)
     assert f.pending == []
 
@@ -433,6 +433,29 @@ def test_flagged_cuts_reports_joined_cuts():
     cuts = f.flagged_cuts("L")
     cuts.clear()
     assert f.flagged_cuts("L") == sides[-1] and len(log) == 6
+
+
+def test_released_forest_reads_its_sides_but_merges_no_more():
+    # run() reads its result off a released forest: the side bytes, the
+    # join logs and flagged_cuts stay; a merge or a member walk needs the
+    # freed parent and next
+    f = SyncForest(6)
+    f.add_star((1, 4), 0, 1)
+    f.recompress()
+    f.set_flag(4, "L")
+    log = f.log["L"]
+    f.release()
+    assert not hasattr(f, "parent") and not hasattr(f, "next")
+    assert f.flags["L"] == bytearray([1, 1, 0, 0, 1, 0, 1])
+    assert f.flags["R"] == bytearray([1, 0, 0, 0, 0, 0, 1])
+    assert f.log["L"] is log
+    assert f.flagged_cuts("L") == [0, 1, 4, 6] and f.flagged_cuts("R") == [0, 6]
+    f.set_flag(1, "L")  # already on L: reads no member list
+    assert f.add_star((2, 3), 0, 1) == 1
+    with pytest.raises(AttributeError):
+        f.recompress()
+    with pytest.raises(AttributeError):
+        f.set_flag(2, "R")
 
 
 def test_add_star_out_of_range_buffers_nothing():
