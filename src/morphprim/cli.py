@@ -162,7 +162,7 @@ def cmd_trace(word: str, tokens: bool):
     scanned      positions the violation scan reads, and its queries' probes
     visits       positions a step-by-step neighborhood walk would read (a model)
     edges        synchronization edges added to the forest
-    cells        cuts recompression points at a new root
+    cells        cuts recompression moves into another component
     loop_checks  violation checks: one per round, plus the last (run only)
     """
     w, sep = _one_word(word, tokens)

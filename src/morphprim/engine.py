@@ -19,9 +19,10 @@ build reads (``n + m``), and only then are the lists built and queried, so
 a word pays for a build only after its scans have cost as much.  A
 neighborhood walk counts at most ``2n`` positions (``visits``, below); fewer
 than ``2n`` synchronization edges are added; and recompression checks each
-edge once and points a cut at a new root only when its component at least
-doubles, so at most ``(N / 2) * log2(N)`` times per run over ``N = n + 1``
-cuts.  Each cut joins the left and the right cut set at most once per run.
+edge once and moves a cut into another component's member array only when
+its component at least doubles, so at most ``(N / 2) * log2(N)`` times per
+run over ``N = n + 1`` cuts.  Each cut joins the left and the right cut set
+at most once per run.
 The engine keeps no cut list of its own: it searches the forest's per-side
 byte arrays in place, a left cut by ``find`` and the right cut that ends
 its segment by ``find``.  The searches of each kind read disjoint
@@ -63,8 +64,10 @@ class RoundRecord(NamedTuple):
     in ``rounds``, counted from 1.
 
     The L/R cuts after the round are the first ``left_size`` and
-    ``right_size`` cuts of the forest's join logs (``log``), which only
-    grow; ``left_cuts`` and ``right_cuts`` sort them when read.
+    ``right_size`` cuts of the forest's join logs (``log``, one
+    ``array("I")`` per side, shared by every record), which only grow;
+    ``left_cuts`` and ``right_cuts`` sort them into tuples of ints when
+    read.
     """
 
     letter: int
@@ -72,7 +75,7 @@ class RoundRecord(NamedTuple):
     scanned: int
     edges: int
     cells: int
-    log: dict[str, list[int]]
+    log: dict[str, array]
     left_size: int
     right_size: int
 

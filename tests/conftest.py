@@ -95,18 +95,47 @@ def image_by_walk(state, k):
     return state.word.segment(k - i, k + best_j)
 
 
+def same_component(forest, c: int, d: int) -> bool:
+    """Whether the cuts ``c`` and ``d`` share a component: one cut, or one
+    member array."""
+    return c == d or (forest.comp[c] is not None and forest.comp[c] is forest.comp[d])
+
+
+def assert_components(forest) -> None:
+    """The member arrays' invariants: every non-``None`` ``comp[c]`` holds
+    ``c``; every member of an array has that same array object as its
+    entry; the arrays, two or more cuts each, are disjoint and cover the
+    cuts that are not lone; and the members of each agree on both sides'
+    bytes."""
+    comp = forest.comp
+    assert len(comp) == forest.n + 1
+    arrays = {id(members): members for members in comp if members is not None}
+    for c, members in enumerate(comp):
+        assert members is None or c in members
+    for members in arrays.values():
+        assert members.typecode == "I" and len(members) >= 2
+        assert all(comp[x] is members for x in members)
+        for side in "LR":
+            flags = forest.flags[side]
+            assert all(flags[x] == flags[members[0]] for x in members)
+    moved = sorted(x for members in arrays.values() for x in members)
+    assert moved == [c for c, members in enumerate(comp) if members is not None]
+
+
 def assert_sides(forest) -> None:
-    """Each side's byte array is 1 exactly at the cuts in its join log, no
-    cut is logged twice, and every cut has its root's byte on both sides,
-    so the members of a component agree on both arrays."""
-    parent = forest.parent
+    """Each side's byte array is 1 exactly at the cuts in its join log, an
+    ``array("I")``, no cut is logged twice, and the member arrays keep
+    their invariants (``assert_components``), so the members of a
+    component agree on both byte arrays."""
     for side in "LR":
         flags, log = forest.flags[side], forest.log[side]
+        assert log.typecode == "I"
+        log = log.tolist()
         assert len(flags) == forest.n + 1
         assert len(set(log)) == len(log)
         assert sorted(log) == [c for c, bit in enumerate(flags) if bit]
         assert set(flags) <= {0, 1}
-        assert all(flags[c] == flags[root] for c, root in enumerate(parent))
+    assert_components(forest)
 
 
 def total_work(c: Counters) -> int:
@@ -199,10 +228,10 @@ def assert_counter_bounds(w: Word, result: FactorizationResult) -> None:
     synchronization edges are added, and recompression counts at most
     8n + 2 cells, a bound that is measured, not proven.
 
-    Whole run: a cell is one cut pointed at a new root, which happens only
-    when the cut's component at least doubles, so the cells of a run over
-    N = n + 1 cuts are at most (N / 2) * log2(N), a proven bound (see
-    ``SyncForest.recompress``).
+    Whole run: a cell is one cut moved into another component's member
+    array, which happens only when the cut's component at least doubles,
+    so the cells of a run over N = n + 1 cuts are at most
+    (N / 2) * log2(N), a proven bound (see ``SyncForest.recompress``).
     """
     n = w.n
     e = len(result.expanding)

@@ -165,7 +165,7 @@ class TestBench(ReadsWords):
         # aa: run()'s counters scanned, visits, edges, cells, one per column;
         # round 1 reads its one letter from the index, the last check reads
         # nothing once every letter expands, and each of the two edges
-        # points one lone cut at a new root
+        # moves one lone cut into another component
         assert lines[1].split(",")[4:8] == ["1", "1", "2", "2"]
 
     @pytest.mark.parametrize("k", [1, 3, 26, 27, 30])

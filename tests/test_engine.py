@@ -513,9 +513,9 @@ def test_wn_merges_lone_cuts_without_a_join_call(monkeypatch):
     calls = []
     join = SyncForest._join
 
-    def counted(self, c, flags, log):
-        calls.append(c)
-        join(self, c, flags, log)
+    def counted(self, members, flags, log):
+        calls.append(members)
+        join(self, members, flags, log)
 
     monkeypatch.setattr(SyncForest, "_join", counted)
     r = run(palindrome_pair_word(256))
@@ -748,7 +748,16 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
 
 
 def test_readout_runs_without_the_union_find():
-    # run() releases parent and next before its readout, so the peak is
-    # the last round's; holding them through the readout reads 76 B/letter
+    # run() releases the member arrays before its readout, so the peak is
+    # the last round's, 42.9 B/letter; a union-find of two lists of n + 1
+    # ints, released the same way, reads 62.5
     w = intern_word("abccc" * 4000)
-    assert peak_alloc(w) <= 70 * w.n
+    assert peak_alloc(w) <= 50 * w.n
+
+
+def test_forest_holds_no_int_object_per_cut():
+    # the forest keeps each component's cuts in a 4-byte array, and lone
+    # cuts in no object at all: 54.0 B/letter, where a union-find of two
+    # lists of n + 1 ints reads 94.4
+    w = random_word(16000, 4, seed=1)
+    assert peak_alloc(w) <= 65 * w.n

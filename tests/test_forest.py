@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
+from array import array
 
 import pytest
 from hypothesis import given
@@ -9,44 +9,49 @@ from hypothesis import strategies as st
 
 from morphprim.forest import SyncForest
 
+from conftest import assert_components
 
-def components(f):
-    """Current components as sorted cut lists, ordered by smallest member."""
+
+def grouped(keys):
+    """The cuts ``0 .. len(keys) - 1`` grouped by equal key, as sorted cut
+    lists ordered by smallest member."""
     groups: dict[int, list[int]] = {}
-    for c, root in enumerate(f.parent):
-        groups.setdefault(root, []).append(c)
+    for c, key in enumerate(keys):
+        groups.setdefault(key, []).append(c)
     return sorted(groups.values())
 
 
-def member_cycle(f, root):
-    cycle, c = [root], f.next[root]
-    while c != root:
-        cycle.append(c)
-        c = f.next[c]
-    return cycle
+def components(f):
+    """Current components as sorted cut lists, ordered by smallest member:
+    a lone cut alone, the others by member array."""
+    return grouped(-1 - c if m is None else id(m) for c, m in enumerate(f.comp))
+
+
+def members(f, c):
+    """The cuts of ``c``'s component, in its member array's order."""
+    return [c] if f.comp[c] is None else f.comp[c].tolist()
+
+
+def logs(f):
+    """Both join logs as lists."""
+    return {side: log.tolist() for side, log in f.log.items()}
 
 
 def assert_forest(f):
-    """The forest's invariants, whichever cut is a component's root: height
-    one, so one root per component and that root among its members; every
-    member on its root's cycle, with its root's byte on each side; and each
-    side's log holding, once each, exactly the cuts whose byte is 1 on that
-    side.  Reads no sorted list, so the order of ``flagged_cuts`` calls
-    stays the caller's."""
-    parent = f.parent
-    assert all(parent[root] == root for root in parent)
-    groups: dict[int, list[int]] = {}
-    for c, root in enumerate(parent):
-        groups.setdefault(root, []).append(c)
-    for root, members in groups.items():
-        assert sorted(member_cycle(f, root)) == members
-        for side in "LR":
-            assert all(f.flags[side][c] == f.flags[side][root] for c in members)
+    """The forest's invariants, whichever order the member arrays list
+    their cuts in: those of ``assert_components`` (each entry ``None`` or
+    an array holding its cut, one array object per component, disjoint
+    arrays covering the cuts that are not lone, members agreeing on both
+    sides), and each side's log, an ``array("I")``, holding, once each,
+    exactly the cuts whose byte is 1 on that side.  Reads no sorted list,
+    so the order of ``flagged_cuts`` calls stays the caller's."""
+    assert_components(f)
     assert set(f.flags) == {"L", "R"}
     for side in "LR":
         assert len(f.flags[side]) == f.n + 1
         assert set(f.flags[side]) <= {0, 1}
-        log = f.log[side]
+        assert f.log[side].typecode == "I"
+        log = f.log[side].tolist()
         assert len(set(log)) == len(log)
         assert sorted(log) == [c for c in range(f.n + 1) if flagged(f, c, side)]
 
@@ -69,10 +74,10 @@ def test_new_forest_singletons():
         f = SyncForest(n)
         ends = [0, n] if n else [0]
         assert components(f) == [[c] for c in range(n + 1)]
-        assert all(f.next[c] == c for c in range(n + 1))
+        assert f.comp == [None] * (n + 1)
         assert side_bytes(f) == [3 if c in (0, n) else 0 for c in range(n + 1)]
         assert f.flags["L"] is not f.flags["R"]
-        assert f.log == {"L": ends, "R": ends}
+        assert logs(f) == {"L": ends, "R": ends}
         assert f.log["L"] is not f.log["R"]
         assert f.flagged_cuts("L") == f.flagged_cuts("R") == ends
         assert_forest(f)
@@ -90,7 +95,7 @@ def test_new_forest_sixteen_cuts():
 
 def test_find_fresh():
     f = SyncForest(6)
-    assert f.parent[5] == 5
+    assert f.comp[5] is None
 
 
 def test_find_transitive_closure():
@@ -98,7 +103,7 @@ def test_find_transitive_closure():
     f.add_star((0, 3, 6), 0, 1)
     f.recompress()
     assert components(f) == [[0, 3, 6], [1], [2], [4], [5]]
-    assert f.parent[5] == 5
+    assert f.comp[5] is None and sorted(members(f, 6)) == [0, 3, 6]
 
 
 def test_set_flag_basic():
@@ -124,7 +129,7 @@ def test_set_flag_idempotent():
     f.set_flag(2, "R")
     f.set_flag(2, "R")
     assert f.flagged_cuts("R") == [0, 2, 3]
-    assert f.log["R"] == [0, 3, 2]
+    assert f.log["R"].tolist() == [0, 3, 2]
 
 
 def test_unknown_side_is_rejected():
@@ -152,9 +157,9 @@ def test_out_of_range_is_rejected(call, message):
 def test_add_star_buffered_until_recompress():
     f = SyncForest(6)
     assert f.add_star((0, 3), 0, 1) == 1
-    assert f.parent[3] == 3
+    assert f.comp[3] is None
     f.recompress()
-    assert f.parent[3] == f.parent[0]
+    assert f.comp[3] is f.comp[0] is not None
 
 
 @pytest.mark.parametrize("star, cut", [
@@ -184,9 +189,9 @@ def test_add_star_without_edges_buffers_nothing(star):
 def test_recompress_no_pending_is_noop():
     f = SyncForest(5)
     f.set_flag(2, "L")
-    before = (list(f.parent), list(f.flagged_cuts("L")), list(f.flagged_cuts("R")))
+    before = (list(f.comp), list(f.flagged_cuts("L")), list(f.flagged_cuts("R")))
     assert f.recompress() == 0
-    assert (list(f.parent), f.flagged_cuts("L"), f.flagged_cuts("R")) == before
+    assert (list(f.comp), f.flagged_cuts("L"), f.flagged_cuts("R")) == before
 
 
 def test_recompress_abaaba_round_one():
@@ -234,7 +239,7 @@ def test_height_one_and_flags_on_every_member():
     # 9 joined L alone, then 0's sides spread to 5 and 9
     assert [side_bytes(f)[c] for c in (0, 5, 9, 10)] == [3, 3, 3, 3]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == [0, 5, 9, 10]
-    assert f.log["L"][:3] == [0, 10, 9] and sorted(f.log["L"][3:]) == [5]
+    assert f.log["L"].tolist() == [0, 10, 9, 5]
     assert_forest(f)
 
 
@@ -340,14 +345,14 @@ def test_incremental_lists_match_brute_force(n, steps):
     # through by searching the side's bytes in place, as the engine does;
     # the join log must hold each flagged cut exactly once; the components
     # must be those of a naive closure over the stars' edges, each with one
-    # root whose member cycle holds them all
+    # member array that every member's entry holds
     f = SyncForest(n)
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
     def read(side):
         cuts = f.flagged_cuts(side)
         assert cuts == [c for c in range(n + 1) if flagged(f, c, side)]
-        assert sorted(f.log[side]) == cuts
+        assert sorted(f.log[side].tolist()) == cuts
         assert found_cuts(f.flags[side]) == cuts
 
     for step in steps:
@@ -370,8 +375,7 @@ def test_incremental_lists_match_brute_force(n, steps):
             f.recompress()
         else:
             read(step[1])
-        comps = components(f)
-        assert comps == components(SimpleNamespace(parent=label))
+        assert components(f) == grouped(label)
         assert_forest(f)
     read("L")
     read("R")
@@ -401,8 +405,9 @@ def test_cuts_joined_in_any_order_read_back_ascending(k):
             for c in cuts + tail:
                 f.set_flag(c, "L")
             union = sorted({0, n, *cuts, *new})
-            assert found_cuts(f.flags["L"]) == sorted(f.log["L"]) == union
-            assert f.log["L"][len(f.log["L"]) - k:] == tail
+            log = f.log["L"].tolist()
+            assert found_cuts(f.flags["L"]) == sorted(log) == union
+            assert log[len(log) - k:] == tail
             assert found_cuts(f.flags["R"]) == [0, n]
             assert_forest(f)
 
@@ -425,32 +430,32 @@ def test_flagged_cuts_reports_joined_cuts():
     f.recompress()
     sides.append(f.flagged_cuts("L"))
     assert sides == [[0, 6], [0, 1, 4, 6], [0, 1, 2, 4, 6], [0, 1, 2, 3, 4, 6]]
-    log = f.log["L"]
+    log = f.log["L"].tolist()
     assert log[:2] == [0, 6] and set(log[2:4]) == {1, 4} and log[4:] == [2, 3]
     assert [sorted(log[: len(side)]) for side in sides] == sides
-    assert f.log["R"] == [0, 6]
+    assert f.log["R"].tolist() == [0, 6]
     # a new list on every call: changing one changes nothing in the forest
     cuts = f.flagged_cuts("L")
     cuts.clear()
-    assert f.flagged_cuts("L") == sides[-1] and len(log) == 6
+    assert f.flagged_cuts("L") == sides[-1] and len(f.log["L"]) == 6
 
 
 def test_released_forest_reads_its_sides_but_merges_no_more():
     # run() reads its result off a released forest: the side bytes, the
-    # join logs and flagged_cuts stay; a merge or a member walk needs the
-    # freed parent and next
+    # join logs and flagged_cuts stay; a merge or a join needs the freed
+    # member arrays
     f = SyncForest(6)
     f.add_star((1, 4), 0, 1)
     f.recompress()
     f.set_flag(4, "L")
     log = f.log["L"]
     f.release()
-    assert not hasattr(f, "parent") and not hasattr(f, "next")
+    assert not hasattr(f, "comp")
     assert f.flags["L"] == bytearray([1, 1, 0, 0, 1, 0, 1])
     assert f.flags["R"] == bytearray([1, 0, 0, 0, 0, 0, 1])
     assert f.log["L"] is log
     assert f.flagged_cuts("L") == [0, 1, 4, 6] and f.flagged_cuts("R") == [0, 6]
-    f.set_flag(1, "L")  # already on L: reads no member list
+    f.set_flag(1, "L")  # already on L: reads no member array
     assert f.add_star((2, 3), 0, 1) == 1
     with pytest.raises(AttributeError):
         f.recompress()
@@ -473,20 +478,20 @@ def test_add_star_out_of_range_buffers_nothing():
 
 def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
     # (3, 5) merges the lone cuts 3 and 5; (1, 3) then merges the lone cut
-    # 1 with {3, 5} in the same recompress, and all three must end under
-    # one root that carries 5's flag
+    # 1 with {3, 5} in the same recompress, and all three must end in one
+    # member array that carries 5's flag
     f = SyncForest(6)
     f.set_flag(5, "L")
     f.add_star((3, 5), 0, 1)
     f.add_star((1, 3), 0, 1)
     f.recompress()
     assert components(f) == [[0], [1, 3, 5], [2], [4], [6]]
-    root = f.parent[1]
-    assert f.parent[3] == f.parent[5] == root
-    assert sorted(member_cycle(f, root)) == [1, 3, 5]
+    assert f.comp[1] is f.comp[3] is f.comp[5]
+    assert sorted(members(f, 1)) == [1, 3, 5]
     # each of the three joined L once, after the extremal cuts
-    assert f.log["L"][:2] == [0, 6] and sorted(f.log["L"][2:]) == [1, 3, 5]
-    assert (f.flags["L"][root], f.flags["R"][root]) == (1, 0)
+    log = f.log["L"].tolist()
+    assert log[:2] == [0, 6] and sorted(log[2:]) == [1, 3, 5]
+    assert (f.flags["L"][1], f.flags["R"][1]) == (1, 0)
     assert side_bytes(f) == [3, 1, 0, 1, 0, 1, 3]
     assert_forest(f)
 
@@ -504,19 +509,18 @@ def test_lone_cuts_join_each_log_once():
     f.add_star((0, 2), 0, 1)
     f.add_star((3, 5), 0, 1)
     f.recompress()
-    assert sorted(f.log["L"]) == [0, 2, 3, 4, 5, 7, 8]
-    assert sorted(f.log["R"]) == [0, 2, 4, 8]
+    assert sorted(f.log["L"].tolist()) == [0, 2, 3, 4, 5, 7, 8]
+    assert sorted(f.log["R"].tolist()) == [0, 2, 4, 8]
     f.add_star((1, 3), 0, 1)
     f.recompress()
-    assert f.log["L"][7:] == [1] and len(f.log["R"]) == 4
+    assert f.log["L"].tolist()[7:] == [1] and len(f.log["R"]) == 4
     for side in "LR":
-        log = f.log[side]
+        log = f.log[side].tolist()
         assert len(set(log)) == len(log)
         assert sorted(log) == f.flagged_cuts(side)
     assert components(f) == [[0, 2, 4], [1, 3, 5, 7], [6], [8]]
-    root0, root1 = f.parent[0], f.parent[1]
-    assert (f.flags["L"][root0], f.flags["R"][root0]) == (1, 1)
-    assert (f.flags["L"][root1], f.flags["R"][root1]) == (1, 0)
+    assert (f.flags["L"][0], f.flags["R"][0]) == (1, 1)
+    assert (f.flags["L"][1], f.flags["R"][1]) == (1, 0)
     # {0, 2, 4} and 8 on both sides, {1, 3, 5, 7} on L, 6 on neither
     assert side_bytes(f) == [3, 1, 3, 1, 3, 1, 0, 1, 3]
     assert_forest(f)
@@ -530,12 +534,12 @@ def test_flag_ends_matches_four_set_flag_calls(n):
     ends = [0, n] if n else [0]
     seeded, stepwise = SyncForest(n), SyncForest(n)
     stepwise.flags = {"L": bytearray(n + 1), "R": bytearray(n + 1)}
-    stepwise.log = {"L": [], "R": []}
+    stepwise.log = {"L": array("I"), "R": array("I")}
     for side in "LR":
         stepwise.set_flag(0, side)
         stepwise.set_flag(n, side)
     assert seeded.flags == stepwise.flags
-    assert seeded.log == stepwise.log == {"L": ends, "R": ends}
+    assert logs(seeded) == logs(stepwise) == {"L": ends, "R": ends}
     assert seeded.log["L"] is not seeded.log["R"]
     for side in "LR":
         assert seeded.flagged_cuts(side) == stepwise.flagged_cuts(side) == ends
@@ -543,18 +547,18 @@ def test_flag_ends_matches_four_set_flag_calls(n):
     for side in "LR":
         seeded.set_flag(0, side)
         seeded.set_flag(n, side)
-    assert seeded.log == stepwise.log
+    assert logs(seeded) == logs(stepwise)
     assert_forest(seeded)
 
 
 def counting_joins(f):
-    """Record the cut each ``_join`` call of ``f`` starts from."""
+    """Record the members each ``_join`` call of ``f`` joins, as a list."""
     calls = []
     join = f._join
 
-    def counted(c, flags, log):
-        calls.append(c)
-        join(c, flags, log)
+    def counted(members, flags, log):
+        calls.append(list(members))
+        join(members, flags, log)
 
     f._join = counted
     return calls
@@ -563,58 +567,81 @@ def counting_joins(f):
 @pytest.mark.parametrize("star", [(4, 6), (6, 4)], ids=["lone-second", "lone-first"])
 def test_lone_cut_takes_the_sides_of_a_component_on_l(star):
     # the lone cut 6 meets {2, 4}, which is on L: 6 joins L by its own
-    # byte, with no join call, and is linked in after the root 2; which end
-    # of the edge it is does not matter
+    # byte, with no join call, and is appended to the member array of 2
+    # and 4; which end of the edge it is does not matter
     f = SyncForest(8)
     f.add_star((2, 4), 0, 1)
     assert f.recompress() == 1
     f.set_flag(2, "L")
-    assert (f.parent[4], f.next[2], f.next[4]) == (2, 4, 2)
-    assert f.log == {"L": [0, 8, 2, 4], "R": [0, 8]}
+    pair = f.comp[2]
+    assert pair.tolist() == [2, 4] and f.comp[4] is pair
+    assert logs(f) == {"L": [0, 8, 2, 4], "R": [0, 8]}
     calls = counting_joins(f)
     f.add_star(star, 0, 1)
     assert f.recompress() == 1
     assert calls == []
-    assert f.parent == [0, 1, 2, 3, 2, 5, 2, 7, 8]
-    assert (f.next[2], f.next[6], f.next[4]) == (6, 4, 2)
-    assert f.log == {"L": [0, 8, 2, 4, 6], "R": [0, 8]}
+    assert f.comp[2] is f.comp[4] is f.comp[6] is pair
+    assert pair.tolist() == [2, 4, 6]
+    assert logs(f) == {"L": [0, 8, 2, 4, 6], "R": [0, 8]}
     assert side_bytes(f) == [3, 0, 1, 0, 1, 0, 1, 0, 3]
     assert_forest(f)
 
 
 def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
-    # {1, 3, 5} is on L and threaded 1 -> 5 -> 3; the lone cut 6 is on R.
-    # Merged, 6 takes L by its own byte, and the whole of {1, 3, 5} joins
-    # R through one join call, from the root along its member list
+    # {1, 3, 5} is on L, its array listing 1, 3, 5; the lone cut 6 is on
+    # R.  Merged, 6 takes L by its own byte, and the whole of {1, 3, 5}
+    # joins R through one join call, in its array's order
     f = SyncForest(8)
     f.add_star((1, 3, 5), 0, 1)
     assert f.recompress() == 2
     f.set_flag(1, "L")
     f.set_flag(6, "R")
-    assert [f.next[c] for c in (1, 5, 3)] == [5, 3, 1]
+    assert members(f, 1) == [1, 3, 5]
     calls = counting_joins(f)
     f.add_star((3, 6), 0, 1)
     assert f.recompress() == 1
-    assert calls == [1]
-    assert f.parent == [0, 1, 2, 1, 4, 1, 1, 7, 8]
-    assert [f.next[c] for c in (1, 6, 5, 3)] == [6, 5, 3, 1]
-    assert f.log == {"L": [0, 8, 1, 5, 3, 6], "R": [0, 8, 6, 1, 5, 3]}
+    assert calls == [[1, 3, 5]]
+    assert members(f, 6) == [1, 3, 5, 6]
+    assert logs(f) == {"L": [0, 8, 1, 3, 5, 6], "R": [0, 8, 6, 1, 3, 5]}
     assert side_bytes(f) == [3, 3, 0, 3, 0, 3, 3, 0, 3]
     assert_forest(f)
 
 
 def test_two_lone_cuts_merge_the_second_into_the_first():
-    # 2 is on R and 5 on L, each alone: on the tie, 5 is pointed at 2, and
-    # each takes the other's side, 5 by its own byte and 2 by a join call
+    # 2 is on R and 5 on L, each alone: on the tie, 5 is put after 2 in a
+    # new array, and each takes the other's side, 5 by its own byte and 2
+    # by a join call
     f = SyncForest(6)
     f.set_flag(5, "L")
     f.set_flag(2, "R")
     calls = counting_joins(f)
     f.add_star((2, 5), 0, 1)
     assert f.recompress() == 1
-    assert calls == [2]
-    assert f.parent == [0, 1, 2, 3, 4, 2, 6]
-    assert (f.next[2], f.next[5]) == (5, 2)
-    assert f.log == {"L": [0, 6, 5, 2], "R": [0, 6, 2, 5]}
+    assert calls == [[2]]
+    assert f.comp[2] is f.comp[5] and members(f, 2) == [2, 5]
+    assert logs(f) == {"L": [0, 6, 5, 2], "R": [0, 6, 2, 5]}
     assert side_bytes(f) == [3, 0, 3, 0, 0, 3, 3]
+    assert_forest(f)
+
+
+@pytest.mark.parametrize("star, order", [
+    ((2, 6), [1, 2, 5, 6]), ((6, 2), [5, 6, 1, 2]),
+], ids=["first-2", "first-6"])
+def test_tie_moves_the_second_ends_component_into_the_first(star, order):
+    # {1, 2} and {5, 6}, the latter on L, the same size: the edge's second
+    # end's component moves, 2 cells, into the first end's array, which
+    # stays; {1, 2} joins L through one join call whichever of them moves
+    f = SyncForest(8)
+    f.add_star((1, 2), 0, 1)
+    f.add_star((5, 6), 0, 1)
+    assert f.recompress() == 2
+    f.set_flag(5, "L")
+    kept = f.comp[star[0]]
+    calls = counting_joins(f)
+    f.add_star(star, 0, 1)
+    assert f.recompress() == 2
+    assert calls == [[1, 2]]
+    assert all(f.comp[c] is kept for c in (1, 2, 5, 6))
+    assert kept.tolist() == order
+    assert logs(f) == {"L": [0, 8, 5, 6, 1, 2], "R": [0, 8]}
     assert_forest(f)

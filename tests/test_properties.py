@@ -21,6 +21,7 @@ from morphprim.words import build_index, neighborhood
 
 from conftest import (
     alpha_naive,
+    assert_components,
     assert_counter_bounds,
     assert_fixed_point,
     assert_sides,
@@ -31,6 +32,7 @@ from conftest import (
     image_by_walk,
     neighborhood_by_walk,
     planted,
+    same_component,
 )
 import digest
 from reference import reference_rounds
@@ -315,7 +317,6 @@ def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
         expand_letter(state, data.draw(st.sampled_from(rest)))
         left = set(state.forest.flagged_cuts("L"))
         right = set(state.forest.flagged_cuts("R"))
-        parent = state.forest.parent
         for record in state.rounds:
             b, nb = record.letter, record.neighborhood
             occ = state.index.pos[b]
@@ -323,18 +324,18 @@ def test_resumed_scan_matches_naive_in_any_expansion_order(w, data):
                 assert {k - 1, k + nb.right_len} <= left
                 assert {k, k - nb.left_len - 1} <= right
                 for m in range(-nb.left_len - 1, nb.right_len + 1):
-                    assert parent[k + m] == parent[occ[0] + m]
+                    assert same_component(state.forest, k + m, occ[0] + m)
     assert find_violation(state) is None
 
 
 @given(words)
 def test_forest_height_one_after_run(w):
+    # the member arrays' analogue of height one: after every round, each
+    # cut's entry names its whole component, with no chain to follow
     state = EngineState(w)
     while (a := find_violation(state)) is not None:
         expand_letter(state, a)
-        parent = state.forest.parent
-        for c in range(w.n + 1):
-            assert parent[parent[c]] == parent[c]
+        assert_components(state.forest)
 
 
 @given(nonempty_words)
