@@ -33,6 +33,17 @@ lengths of the forest's join logs, from which its cut sets are rebuilt
 only when they are read.  The factor cuts are the ends of the image
 blocks, found from the occurrences of the expanding letters.
 
+Every factor cut is a right cut.  ``image`` anchors the image of a kept
+letter at its first occurrence ``first``, a right cut, and ends it at a
+right cut ``end`` with ``first <= end <= stop <= first + right_len``, where
+``stop`` is the first left cut at or after ``first`` and ``first +
+right_len`` is a left cut of the letter's round.  So the offset ``end -
+first`` lies in the letter's star, which ties ``end`` to the cut ``p + end
+- first`` that ends the block of every occurrence ``p``; a component is on
+a side as a whole, so each of those cuts is a right cut.  A factor cut
+need not be a left cut: ``bcabchchca`` has the factor cuts ``0 1 3 4 6 8
+10`` and the left cuts ``0 2 3 5 7 9 10``.
+
 ``scanned`` counts the positions read by suffix scans, plus one per
 occurrence list a query probes and one per letter a query reads.  A query
 reads at most ``d + 1``, with ``d`` the number of distinct frequencies, and
@@ -417,6 +428,14 @@ def run(word: Word) -> FactorizationResult:
     off the image blocks rather than by summing image lengths over the word.
     A primitive word's images are its letters, and its cut sets and factor
     cuts are one tuple of every cut, all read without the forest.
+
+    Once no letter violates, ``run`` keeps the expanding set, the rounds,
+    the counters and the forest's join logs, and for an imprimitive word
+    also the images and the kept letters' positions, then frees the state
+    before it builds any result tuple: the occurrence index of the erased
+    letters, the frequency classes, the side bytes and the union-find go
+    at once, so the result's cut tuples come on top of the logs alone.
+    The final sides are the join logs, sorted.
     """
     state = EngineState(word)
     while True:
@@ -425,41 +444,46 @@ def run(word: Word) -> FactorizationResult:
         if a is None:
             break
         expand_letter(state, a)
-    # the readout reads only the sides and their logs
-    state.forest.release()
 
+    expanding, rounds, counters = state.expanding, tuple(state.rounds), state.counters
+    log = state.forest.log
     m = word.alphabet_size
-    primitive = len(state.expanding) == m
+    primitive = len(expanding) == m
     # f(w) = w and f is idempotent, so each image is x a y with x and y
     # erased, and an occurrence p of a ends its block of the factorization
     # at p + |y|; with nothing erased, each image and each block is one
     # letter, and every cut is on both sides and ends a block
+    if not primitive:
+        images = tuple(image(state, a) if a in expanding else () for a in range(m))
+        # each kept letter's positions, and the |y| of its image
+        tails = [
+            (state.index.pos[a], len(images[a]) - images[a].index(a) - 1)
+            for a in expanding
+        ]
+    del state
     if primitive:
         images = tuple(zip(range(m)))
         left_cuts = right_cuts = factor_cuts = tuple(range(word.n + 1))
     else:
-        images = tuple(
-            image(state, a) if a in state.expanding else () for a in range(m)
-        )
         ends = [0]
-        for a in state.expanding:
-            img = images[a]
-            tail = len(img) - img.index(a) - 1
-            ends.extend([p + tail for p in state.index.pos[a]])
+        for occ, tail in tails:
+            ends.extend([p + tail for p in occ])
+        # each list goes once read, so none is alive when the sides are sorted
+        del tails
         ends.sort()
         factor_cuts = tuple(ends)
-        left_cuts = tuple(state.forest.flagged_cuts("L"))
-        right_cuts = tuple(state.forest.flagged_cuts("R"))
-    morphism = Morphism(expanding=frozenset(state.expanding), images=images)
+        del ends
+        left_cuts = tuple(sorted(log["L"]))
+        right_cuts = tuple(sorted(log["R"]))
     return FactorizationResult(
         word=word,
-        morphism=morphism,
+        morphism=Morphism(expanding=frozenset(expanding), images=images),
         primitive=primitive,
-        rounds=tuple(state.rounds),
+        rounds=rounds,
         left_cuts=left_cuts,
         right_cuts=right_cuts,
         factor_cuts=factor_cuts,
-        counters=state.counters,
+        counters=counters,
     )
 
 

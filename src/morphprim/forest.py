@@ -33,14 +33,6 @@ the other's sides in its own bytes, with no call.  The count of cells is
 one per cut moved into another component's array.  A cut moves only when
 its component at least doubles, so a run over ``N = n + 1`` cuts counts at
 most ``(N / 2) * log2(N)`` cells; see ``SyncForest.recompress``.
-
-Once no letter violates, ``run`` releases the forest (``release``) before
-it reads the result: the union-find, ``comp``, a list of ``n + 1`` entries
-and the member arrays that the readout never reads, is freed.  The forest
-keeps ``n``, the sides (``flags``), their join logs (``log``), which the
-rounds' records share, and its emptied star buffer.  The readout's own
-lists are then allocated beside the sides and logs alone, so a run's
-memory peaks in its last round, not in its readout.
 """
 
 from __future__ import annotations
@@ -198,26 +190,12 @@ class SyncForest:
         pending.clear()
         return cells
 
-    def release(self) -> None:
-        """Free ``comp`` and the member arrays, which only merges and
-        ``set_flag`` read; ``n``, ``flags``, ``log`` and ``pending`` stay.
-
-        ``run`` calls it once the last violation check finds none, before
-        it reads the images (``flags``) and the final sides
-        (``flagged_cuts``, from ``log``), so that those reads do not add to
-        a peak that holds the union-find.  A released forest takes no more
-        stars and no more flags: ``recompress`` with a star pending, or
-        ``set_flag`` on a cut not yet on the side, raises
-        ``AttributeError``.
-        """
-        del self.comp
-
     def flagged_cuts(self, side: Side) -> list[int]:
         """All cuts flagged on ``side``, ascending.
 
         Sorts the side's join log into a new list on every call, which the
-        caller owns.  ``run`` reads each final side of an imprimitive word
-        here once, from the released forest; the rounds search
+        caller owns.  ``run`` does not call it: it sorts the join logs
+        itself once the forest is freed, and the rounds search
         ``flags[side]`` in place.
         """
         return sorted(self.log[side])

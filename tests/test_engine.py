@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 from itertools import permutations
 
 import pytest
@@ -24,7 +25,7 @@ from morphprim.engine import (
     image,
 )
 from morphprim.forest import SyncForest
-from morphprim.oracle import all_words
+from morphprim.oracle import all_words, min_expanding
 from morphprim.words import Neighborhood, build_index, neighborhood
 
 from conftest import (
@@ -41,6 +42,7 @@ from conftest import (
     left_right_cut_check,
     planted,
 )
+from digest import planted_word
 from peak import peak_alloc
 
 
@@ -526,23 +528,59 @@ def test_wn_merges_lone_cuts_without_a_join_call(monkeypatch):
 def test_primitive_run_builds_one_tuple_of_every_cut(monkeypatch):
     # a primitive word has every cut on both sides and ending a block, so
     # run() builds one tuple for all three and sorts no join log; an
-    # imprimitive word's sides are still read off the forest, once each
-    sides = []
+    # imprimitive word's sides are its sorted join logs, read with no
+    # forest left to call flagged_cuts on
+    calls = []
     flagged_cuts = SyncForest.flagged_cuts
 
     def spied(self, side):
-        cuts = flagged_cuts(self, side)
-        sides.append(tuple(cuts))
-        return cuts
+        calls.append(side)
+        return flagged_cuts(self, side)
 
     monkeypatch.setattr(SyncForest, "flagged_cuts", spied)
     r = run(palindrome_pair_word(256))
-    assert sides == []
     assert r.left_cuts is r.right_cuts is r.factor_cuts
     assert r.left_cuts == tuple(range(513))
     r = run(intern_word("abaaba"))
-    assert sides == [(0, 1, 3, 4, 6), (0, 2, 3, 5, 6)]
-    assert (r.left_cuts, r.right_cuts) == tuple(sides)
+    assert r.left_cuts == (0, 1, 3, 4, 6)
+    assert r.right_cuts == (0, 2, 3, 5, 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["abba", "abaaba"])
+def test_run_frees_its_state_before_building_the_result(monkeypatch, text):
+    # the occurrence index, the side bytes and the union-find are freed
+    # before any result tuple is built, on both branches: the state is gone
+    # by the time the morphism, which run() builds last, is made
+    states = []
+
+    class Traced(EngineState):
+        # no __slots__, so the state takes a weak reference
+        def __init__(self, word):
+            super().__init__(word)
+            states.append(weakref.ref(self))
+
+    def morphism(**fields):
+        assert states and states[0]() is None
+        return Morphism(**fields)
+
+    monkeypatch.setattr("morphprim.engine.EngineState", Traced)
+    monkeypatch.setattr("morphprim.engine.Morphism", morphism)
+    w = intern_word(text)
+    r = run(w)
+    assert len(states) == 1
+    assert r.primitive is (text == "abba") and verify(w, r.morphism)
+
+
+def test_factor_cuts_need_not_be_left_cuts():
+    # every factor cut is a right cut (see the engine's module docstring),
+    # but not every one is a left cut, so the factor cuts are not L & R
+    w = intern_word("bcabchchca")
+    r = run(w)
+    assert r.factor_cuts == (0, 1, 3, 4, 6, 8, 10)
+    assert r.left_cuts == (0, 2, 3, 5, 7, 9, 10)
+    assert r.right_cuts == r.factor_cuts
+    assert verify(w, r.morphism) and len(r.expanding) == min_expanding(w).size == 3
 
 
 def test_wn_scan_reads_linear_work():
@@ -747,17 +785,23 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
     assert peak_alloc(large) <= 6 * peak_alloc(small)
 
 
-def test_readout_runs_without_the_union_find():
-    # run() releases the member arrays before its readout, so the peak is
-    # the last round's, 42.9 B/letter; a union-find of two lists of n + 1
-    # ints, released the same way, reads 62.5
-    w = intern_word("abccc" * 4000)
-    assert peak_alloc(w) <= 50 * w.n
+@pytest.mark.parametrize("w, gate", [
+    # 35.9 B/letter, where a readout beside the state read 42.9
+    pytest.param(intern_word("abccc" * 4000), 42, id="abccc"),
+    # the planted word of tests/peak.py: 32.2, against 39.5
+    pytest.param(planted_word(morphprim, random.Random(1), 12, 3, 3000), 37, id="planted"),
+    # wn holds a record per round: 253.5, against 320.2
+    pytest.param(palindrome_pair_word(1024), 290, id="wn"),
+])
+def test_readout_runs_without_the_engine_state(w, gate):
+    # run() frees its state, the union-find included, before it builds the
+    # result's tuples, which then come on top of the join logs alone
+    assert peak_alloc(w) <= gate * w.n
 
 
 def test_forest_holds_no_int_object_per_cut():
     # the forest keeps each component's cuts in a 4-byte array, and lone
-    # cuts in no object at all: 54.0 B/letter, where a union-find of two
+    # cuts in no object at all: 47.8 B/letter, where a union-find of two
     # lists of n + 1 ints reads 94.4
     w = random_word(16000, 4, seed=1)
-    assert peak_alloc(w) <= 65 * w.n
+    assert peak_alloc(w) <= 56 * w.n

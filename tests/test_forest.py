@@ -416,12 +416,16 @@ def test_flagged_cuts_reports_joined_cuts():
     # each joined cut is logged once, and the log's first k cuts, sorted,
     # are the side as it stood when the log had k cuts, which is what a
     # round's record rebuilds its cut sets from; the order of the cuts that
-    # join in one step is not defined, so only their set is pinned
+    # join in one step is not defined, so only their set is pinned; the
+    # log grows in place, as the rounds' records share it
     f = SyncForest(6)
+    joined = f.log["L"]
     sides = [f.flagged_cuts("L")]
     f.add_star((1, 4), 0, 1)
     f.recompress()
     f.set_flag(4, "L")  # 1 and 4 join together
+    assert f.flags["L"] == bytearray([1, 1, 0, 0, 1, 0, 1])
+    assert f.flags["R"] == bytearray([1, 0, 0, 0, 0, 0, 1])
     sides.append(f.flagged_cuts("L"))
     f.set_flag(2, "L")
     f.set_flag(4, "L")  # already flagged: joins nothing
@@ -433,34 +437,11 @@ def test_flagged_cuts_reports_joined_cuts():
     log = f.log["L"].tolist()
     assert log[:2] == [0, 6] and set(log[2:4]) == {1, 4} and log[4:] == [2, 3]
     assert [sorted(log[: len(side)]) for side in sides] == sides
-    assert f.log["R"].tolist() == [0, 6]
+    assert f.log["L"] is joined and f.log["R"].tolist() == [0, 6]
     # a new list on every call: changing one changes nothing in the forest
     cuts = f.flagged_cuts("L")
     cuts.clear()
     assert f.flagged_cuts("L") == sides[-1] and len(f.log["L"]) == 6
-
-
-def test_released_forest_reads_its_sides_but_merges_no_more():
-    # run() reads its result off a released forest: the side bytes, the
-    # join logs and flagged_cuts stay; a merge or a join needs the freed
-    # member arrays
-    f = SyncForest(6)
-    f.add_star((1, 4), 0, 1)
-    f.recompress()
-    f.set_flag(4, "L")
-    log = f.log["L"]
-    f.release()
-    assert not hasattr(f, "comp")
-    assert f.flags["L"] == bytearray([1, 1, 0, 0, 1, 0, 1])
-    assert f.flags["R"] == bytearray([1, 0, 0, 0, 0, 0, 1])
-    assert f.log["L"] is log
-    assert f.flagged_cuts("L") == [0, 1, 4, 6] and f.flagged_cuts("R") == [0, 6]
-    f.set_flag(1, "L")  # already on L: reads no member array
-    assert f.add_star((2, 3), 0, 1) == 1
-    with pytest.raises(AttributeError):
-        f.recompress()
-    with pytest.raises(AttributeError):
-        f.set_flag(2, "R")
 
 
 def test_add_star_out_of_range_buffers_nothing():

@@ -212,11 +212,25 @@ def test_factor_cuts_match_definition(w):
     assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
 
 
+def test_factor_cuts_are_right_cuts_on_the_digest_corpus():
+    # the engine's module docstring argues that every block ends at a cut
+    # tied to a right cut by its letter's star
+    checked, outside = 0, []
+    for i, w in enumerate(digest.corpus(morphprim)):
+        if w.n <= 2000:
+            r = run(w)
+            checked += 1
+            if not set(r.factor_cuts) <= set(r.right_cuts):
+                outside.append(i)
+    assert checked == 7932 and outside == []
+
+
 @given(fixed_points())
 def test_factor_cuts_of_planted_fixed_points_match_definition(planted):
     w, u = planted
     r = run(w)
     assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
+    assert set(r.factor_cuts) <= set(r.right_cuts)
     # an erased letter that occurs makes f a proper fixed point of w
     if w.alphabet_size > len(set(u)):
         assert not r.primitive
