@@ -190,7 +190,7 @@ def cmd_oracle(word: str, tokens: bool, max_len: int):
     click.echo(f"{word}\t{verdict}")
     click.echo(f"min_expanding\t{res.size}")
     if w.alphabet_size:
-        line = _morphism_line(w, res.morphism(w), sep)
+        line = _morphism_line(w, res.morphism, sep)
         click.echo(f"witness\t{line}")
 
 

@@ -78,20 +78,25 @@ def factorization_exists(word: Word, expanding: frozenset[int] | set[int]) -> bo
 
 
 class OracleResult(NamedTuple):
-    """Minimal expanding set found by exhaustive search."""
+    """The fixed-point morphism of a minimal expanding set found by search.
 
-    size: int
-    expanding: frozenset[int]
-    proper: bool
-    images: dict[int, tuple[int, ...]]
+    Erased letters map to ``()``; ``size``, ``expanding`` and ``proper``
+    are read off the morphism.
+    """
 
-    def morphism(self, word: Word) -> Morphism:
-        return Morphism(
-            expanding=self.expanding,
-            images=tuple(
-                self.images.get(a, ()) for a in range(word.alphabet_size)
-            ),
-        )
+    morphism: Morphism
+
+    @property
+    def expanding(self) -> frozenset[int]:
+        return self.morphism.expanding
+
+    @property
+    def size(self) -> int:
+        return len(self.morphism.expanding)
+
+    @property
+    def proper(self) -> bool:
+        return self.size < len(self.morphism.images)
 
 
 def min_expanding(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> OracleResult:
@@ -110,17 +115,13 @@ def min_expanding(word: Word, max_len: int | None = DEFAULT_SIZE_GUARD) -> Oracl
         )
     m = word.alphabet_size
     if m == 0:
-        return OracleResult(size=0, expanding=frozenset(), proper=False, images={})
+        return OracleResult(Morphism(frozenset(), ()))
     for size in range(1, m + 1):
         for combo in combinations(range(m), size):
             images = _factorize(word, frozenset(combo))
             if images is not None:
-                return OracleResult(
-                    size=size,
-                    expanding=frozenset(combo),
-                    proper=size < m,
-                    images=images,
-                )
+                witness = tuple(images.get(a, ()) for a in range(m))
+                return OracleResult(Morphism(frozenset(combo), witness))
     raise AssertionError("full alphabet must always admit a factorization")
 
 

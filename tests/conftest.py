@@ -4,6 +4,7 @@ against, and exhaustive stability/fixed-point audits."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from math import log2
 
 import pytest
@@ -123,10 +124,12 @@ def assert_components(forest) -> None:
 
 
 def assert_sides(forest) -> None:
-    """Each side's byte array is 1 exactly at the cuts in its join log, an
-    ``array("I")``, no cut is logged twice, and the member arrays keep
+    """The byte arrays and the join logs are keyed by exactly ``L`` and
+    ``R``; each side's byte array is 1 exactly at the cuts in its join log,
+    an ``array("I")``, no cut is logged twice, and the member arrays keep
     their invariants (``assert_components``), so the members of a
-    component agree on both byte arrays."""
+    component agree on both byte arrays.  Calls no ``flagged_cuts``."""
+    assert set(forest.flags) == set(forest.log) == {"L", "R"}
     for side in "LR":
         flags, log = forest.flags[side], forest.log[side]
         assert log.typecode == "I"
@@ -159,17 +162,23 @@ def left_right_cut_check(w: Word, f: Morphism, left: list[int], right: list[int]
     return all(plen[k] <= k for k in left) and all(plen[k] >= k for k in right)
 
 
-def first_violation_naive(w: Word, state) -> int | None:
-    """The letter of the first left cut whose stretch violates, by alpha_naive."""
-    left, right = state.forest.flagged_cuts("L"), state.forest.flagged_cuts("R")
+def first_violation_of_cuts(w: Word, idx: PosIndex, left, right, expanding) -> int | None:
+    """The letter of the first left cut whose stretch violates, by
+    alpha_naive: the least frequent letter between the cut and the next
+    right cut is not in ``expanding``.  ``left`` and ``right`` are sorted
+    and hold ``n``."""
     for l in left:
-        if l >= w.n:
-            continue
-        r = min(c for c in right if c > l)
-        a = at(w, alpha_naive(w, state.index, l, r))
-        if a not in state.expanding:
-            return a
+        if l < w.n:
+            a = at(w, alpha_naive(w, idx, l, right[bisect_right(right, l)]))
+            if a not in expanding:
+                return a
     return None
+
+
+def first_violation_naive(w: Word, state) -> int | None:
+    """``first_violation_of_cuts`` on an engine state's cut sets."""
+    left, right = state.forest.flagged_cuts("L"), state.forest.flagged_cuts("R")
+    return first_violation_of_cuts(w, state.index, left, right, state.expanding)
 
 
 def assert_stable(w: Word, result: FactorizationResult) -> None:

@@ -5,7 +5,8 @@ expands and the sorted left and right cuts after it.  Each round recomputes
 everything from scratch:
 
 - the first violation, by ``alpha_naive`` on each left cut from cut 0 and
-  the right cut that follows it;
+  the right cut that follows it (``conftest.first_violation_of_cuts``, which
+  the engine tests also check ``find_violation`` against);
 - the violating letter's neighborhood, by ``neighborhood_by_walk``;
 - the four cuts of every occurrence of every expanding letter, which join
   0 and n as the seeds of both sides;
@@ -22,9 +23,7 @@ It shares no code with ``morphprim.forest``, ``find_violation``,
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
-from conftest import alpha_naive, at, neighborhood_by_walk
+from conftest import first_violation_of_cuts, neighborhood_by_walk
 from morphprim.words import Word, build_index
 
 
@@ -49,14 +48,7 @@ def reference_rounds(w: Word) -> list[tuple[int, tuple[int, ...], tuple[int, ...
     left, right = [0, n], [0, n]
     rounds = []
     while True:
-        violator = None
-        for l in left:
-            if l < n:
-                r = right[bisect_right(right, l)]
-                a = at(w, alpha_naive(w, idx, l, r))
-                if a not in expanding:
-                    violator = a
-                    break
+        violator = first_violation_of_cuts(w, idx, left, right, expanding)
         if violator is None:
             return rounds
         expanding.add(violator)

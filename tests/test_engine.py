@@ -31,7 +31,6 @@ from morphprim.words import Neighborhood, build_index, neighborhood
 from conftest import (
     EXAMPLE_WORD,
     alpha_naive,
-    assert_counter_bounds,
     assert_fixed_point,
     assert_sides,
     assert_stable,
@@ -113,12 +112,14 @@ class TestExpandLetter:
         assert state.rounds[-1].neighborhood is nb
         assert state.forest.flagged_cuts("L") == [0, 1, 3, 4, 6]
 
-    def test_neighborhood_outside_the_word_rejected(self):
+    def test_neighborhood_outside_the_word_rejected(self, monkeypatch):
         # a single occurrence adds no edge, so only this check keeps a
         # negative cut from wrapping round the flag arrays
         w = intern_word("ab")
         state = EngineState(w)
-        state.neighborhoods[1] = Neighborhood(2, 0, 0)
+        monkeypatch.setattr(
+            "morphprim.engine.neighborhood", lambda *args: Neighborhood(2, 0, 0)
+        )
         with pytest.raises(ValueError, match="leaves the word"):
             expand_letter(state, 1)
         assert state.expanding == set()
@@ -251,14 +252,6 @@ class TestRun:
         assert r.primitive
         assert r.round_count == 0
         assert r.counters.loop_checks == 1
-
-    def test_round_counters(self, small_corpus):
-        for w in small_corpus[:2000]:
-            assert_counter_bounds(w, run(w))
-
-    def test_fixed_points(self, small_corpus):
-        for w in small_corpus[:2000]:
-            assert_fixed_point(w, run(w))
 
     def test_trace_flag_monotonicity(self, small_corpus):
         for w in small_corpus[:1000]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from morphprim.forest import SyncForest
 
-from conftest import assert_components
+from conftest import assert_sides
 
 
 def grouped(keys):
@@ -37,30 +37,6 @@ def logs(f):
     return {side: log.tolist() for side, log in f.log.items()}
 
 
-def assert_forest(f):
-    """The forest's invariants, whichever order the member arrays list
-    their cuts in: those of ``assert_components`` (each entry ``None`` or
-    an array holding its cut, one array object per component, disjoint
-    arrays covering the cuts that are not lone, members agreeing on both
-    sides), and each side's log, an ``array("I")``, holding, once each,
-    exactly the cuts whose byte is 1 on that side.  Reads no sorted list,
-    so the order of ``flagged_cuts`` calls stays the caller's."""
-    assert_components(f)
-    assert set(f.flags) == {"L", "R"}
-    for side in "LR":
-        assert len(f.flags[side]) == f.n + 1
-        assert set(f.flags[side]) <= {0, 1}
-        assert f.log[side].typecode == "I"
-        log = f.log[side].tolist()
-        assert len(set(log)) == len(log)
-        assert sorted(log) == [c for c in range(f.n + 1) if flagged(f, c, side)]
-
-
-def flagged(f, c, side):
-    """Whether the cut ``c`` is on ``side``."""
-    return f.flags[side][c] == 1
-
-
 def side_bytes(f):
     """Each cut's sides as one number, 1 for L plus 2 for R."""
     return [left + 2 * right for left, right in zip(f.flags["L"], f.flags["R"])]
@@ -73,14 +49,13 @@ def test_new_forest_singletons():
     for n in (0, 1, 8):
         f = SyncForest(n)
         ends = [0, n] if n else [0]
-        assert components(f) == [[c] for c in range(n + 1)]
         assert f.comp == [None] * (n + 1)
         assert side_bytes(f) == [3 if c in (0, n) else 0 for c in range(n + 1)]
         assert f.flags["L"] is not f.flags["R"]
         assert logs(f) == {"L": ends, "R": ends}
         assert f.log["L"] is not f.log["R"]
         assert f.flagged_cuts("L") == f.flagged_cuts("R") == ends
-        assert_forest(f)
+        assert_sides(f)
 
 
 def test_new_forest_empty_word():
@@ -109,8 +84,8 @@ def test_find_transitive_closure():
 def test_set_flag_basic():
     f = SyncForest(6)
     f.set_flag(2, "L")
-    assert flagged(f, 2, "L")
-    assert not flagged(f, 2, "R")
+    assert f.flags["L"][2]
+    assert not f.flags["R"][2]
 
 
 def test_set_flag_spreads_over_component():
@@ -119,9 +94,9 @@ def test_set_flag_spreads_over_component():
     f.add_star((0, 3), 0, 4)  # (0, 3), (1, 4), (2, 5), (3, 6)
     f.recompress()
     f.set_flag(3, "L")
-    assert flagged(f, 6, "L")
-    assert flagged(f, 0, "L")
-    assert not flagged(f, 1, "L")
+    assert f.flags["L"][6]
+    assert f.flags["L"][0]
+    assert not f.flags["L"][1]
 
 
 def test_set_flag_idempotent():
@@ -240,7 +215,7 @@ def test_height_one_and_flags_on_every_member():
     assert [side_bytes(f)[c] for c in (0, 5, 9, 10)] == [3, 3, 3, 3]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == [0, 5, 9, 10]
     assert f.log["L"].tolist() == [0, 10, 9, 5]
-    assert_forest(f)
+    assert_sides(f)
 
 
 def test_star_merges_one_component_with_one_root():
@@ -250,7 +225,7 @@ def test_star_merges_one_component_with_one_root():
     f.recompress()
     assert components(f) == [[0], [1], [2, 5, 7], [3], [4], [6], [8]]
     assert f.flagged_cuts("R") == [0, 2, 5, 7, 8]
-    assert_forest(f)
+    assert_sides(f)
 
 
 @pytest.mark.parametrize("j", [0, 1, 4, 10])
@@ -268,7 +243,7 @@ def test_balanced_merges_reach_the_run_bound(j):
         cells += f.recompress()
     assert cells == big // 2 * j
     assert components(f) == [list(range(big))]
-    assert_forest(f)
+    assert_sides(f)
 
 
 def test_flag_set_before_recompress_survives_merge():
@@ -276,7 +251,7 @@ def test_flag_set_before_recompress_survives_merge():
     f.set_flag(3, "L")
     f.add_star((1, 3), 0, 1)
     f.recompress()
-    assert flagged(f, 1, "L")
+    assert f.flags["L"][1]
     assert f.flagged_cuts("L") == [0, 1, 3, 4]
 
 
@@ -300,7 +275,7 @@ def test_recompress_long_chain(order):
     assert components(f) == [list(range(n + 1))]
     assert f.flagged_cuts("L") == f.flagged_cuts("R") == list(range(n + 1))
     assert f.flags == {"L": bytearray([1]) * (n + 1), "R": bytearray([1]) * (n + 1)}
-    assert_forest(f)
+    assert_sides(f)
 
 
 @st.composite
@@ -350,10 +325,7 @@ def test_incremental_lists_match_brute_force(n, steps):
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
     def read(side):
-        cuts = f.flagged_cuts(side)
-        assert cuts == [c for c in range(n + 1) if flagged(f, c, side)]
-        assert sorted(f.log[side].tolist()) == cuts
-        assert found_cuts(f.flags[side]) == cuts
+        assert f.flagged_cuts(side) == sorted(f.log[side]) == found_cuts(f.flags[side])
 
     for step in steps:
         if step[0] == "flag":
@@ -376,7 +348,7 @@ def test_incremental_lists_match_brute_force(n, steps):
         else:
             read(step[1])
         assert components(f) == grouped(label)
-        assert_forest(f)
+        assert_sides(f)
     read("L")
     read("R")
 
@@ -409,7 +381,7 @@ def test_cuts_joined_in_any_order_read_back_ascending(k):
             assert found_cuts(f.flags["L"]) == sorted(log) == union
             assert log[len(log) - k:] == tail
             assert found_cuts(f.flags["R"]) == [0, n]
-            assert_forest(f)
+            assert_sides(f)
 
 
 def test_flagged_cuts_reports_joined_cuts():
@@ -474,7 +446,7 @@ def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
     assert log[:2] == [0, 6] and sorted(log[2:]) == [1, 3, 5]
     assert (f.flags["L"][1], f.flags["R"][1]) == (1, 0)
     assert side_bytes(f) == [3, 1, 0, 1, 0, 1, 3]
-    assert_forest(f)
+    assert_sides(f)
 
 
 def test_lone_cuts_join_each_log_once():
@@ -504,7 +476,7 @@ def test_lone_cuts_join_each_log_once():
     assert (f.flags["L"][1], f.flags["R"][1]) == (1, 0)
     # {0, 2, 4} and 8 on both sides, {1, 3, 5, 7} on L, 6 on neither
     assert side_bytes(f) == [3, 1, 3, 1, 3, 1, 0, 1, 3]
-    assert_forest(f)
+    assert_sides(f)
 
 
 @pytest.mark.parametrize("n", [0, 1, 8])
@@ -529,7 +501,7 @@ def test_flag_ends_matches_four_set_flag_calls(n):
         seeded.set_flag(0, side)
         seeded.set_flag(n, side)
     assert logs(seeded) == logs(stepwise)
-    assert_forest(seeded)
+    assert_sides(seeded)
 
 
 def counting_joins(f):
@@ -565,7 +537,7 @@ def test_lone_cut_takes_the_sides_of_a_component_on_l(star):
     assert pair.tolist() == [2, 4, 6]
     assert logs(f) == {"L": [0, 8, 2, 4, 6], "R": [0, 8]}
     assert side_bytes(f) == [3, 0, 1, 0, 1, 0, 1, 0, 3]
-    assert_forest(f)
+    assert_sides(f)
 
 
 def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
@@ -585,7 +557,7 @@ def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
     assert members(f, 6) == [1, 3, 5, 6]
     assert logs(f) == {"L": [0, 8, 1, 3, 5, 6], "R": [0, 8, 6, 1, 3, 5]}
     assert side_bytes(f) == [3, 3, 0, 3, 0, 3, 3, 0, 3]
-    assert_forest(f)
+    assert_sides(f)
 
 
 def test_two_lone_cuts_merge_the_second_into_the_first():
@@ -602,7 +574,7 @@ def test_two_lone_cuts_merge_the_second_into_the_first():
     assert f.comp[2] is f.comp[5] and members(f, 2) == [2, 5]
     assert logs(f) == {"L": [0, 6, 5, 2], "R": [0, 6, 2, 5]}
     assert side_bytes(f) == [3, 0, 3, 0, 0, 3, 3]
-    assert_forest(f)
+    assert_sides(f)
 
 
 @pytest.mark.parametrize("star, order", [
@@ -625,4 +597,4 @@ def test_tie_moves_the_second_ends_component_into_the_first(star, order):
     assert all(f.comp[c] is kept for c in (1, 2, 5, 6))
     assert kept.tolist() == order
     assert logs(f) == {"L": [0, 8, 5, 6, 1, 2], "R": [0, 8]}
-    assert_forest(f)
+    assert_sides(f)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from morphprim import (
+    Morphism,
+    OracleResult,
     WordTooLongError,
     factorization_exists,
     intern_word,
@@ -61,6 +63,7 @@ class TestMinExpanding:
 
     def test_empty_word(self):
         res = min_expanding(intern_word(""))
+        assert res == OracleResult(Morphism(frozenset(), ()))
         assert res.size == 0
         assert not res.proper
 
@@ -74,7 +77,12 @@ class TestMinExpanding:
     def test_witness_converts_to_valid_morphism(self, small_corpus):
         for w in small_corpus[:2000]:
             res = min_expanding(w)
-            assert verify(w, res.morphism(w))
+            assert verify(w, res.morphism)
+            assert len(res.morphism.images) == w.alphabet_size
+            erased = set(range(w.alphabet_size)) - res.expanding
+            assert all(res.morphism.images[a] == () for a in erased)
+            assert res.size == len(res.expanding)
+            assert res.proper == (res.size < w.alphabet_size)
 
 
 class TestIsPrimitiveOracle:

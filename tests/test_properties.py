@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,7 +133,7 @@ def test_run_agrees_with_oracle(w):
     oracle = min_expanding(w)
     assert result.primitive == (not oracle.proper)
     assert len(result.expanding) == oracle.size
-    assert verify(w, oracle.morphism(w))
+    assert verify(w, oracle.morphism)
 
 
 def reversal(w):
@@ -140,28 +141,35 @@ def reversal(w):
     return intern_word([w.symbols[a] for a in reversed(w.letters)])
 
 
-def test_reversal_keeps_verdict_and_size_on_the_digest_corpus():
+@pytest.fixture(scope="module")
+def digest_runs():
+    """``(w, run(w))`` for each of the digest corpus's 7 976 words, run
+    once for the three corpus checks below."""
+    return [(w, run(w)) for w in digest.corpus(morphprim)]
+
+
+def test_reversal_keeps_verdict_and_size_on_the_digest_corpus(digest_runs):
     # reversing a word and every image maps one fixed-point morphism of w
     # onto one of its reversal, so both have the same verdict and the same
     # |E|; the minimal set itself is not unique (ab gives {a} one way and
     # {b} the other), so only sizes are compared.  The reversed run takes
     # other segments, cut orders and merge orders through the same code
     differ = []
-    for i, w in enumerate(digest.corpus(morphprim)):
-        r, s = run(w), run(reversal(w))
+    for i, (w, r) in enumerate(digest_runs):
+        s = run(reversal(w))
         if (r.primitive, len(r.expanding)) != (s.primitive, len(s.expanding)):
             differ.append(i)
-    assert i == 7975 and differ == []
+    assert len(digest_runs) == 7976 and differ == []
 
 
-def test_rounds_match_the_reference_engine_on_the_digest_corpus():
+def test_rounds_match_the_reference_engine_on_the_digest_corpus(digest_runs):
     # every round's letter and L/R cuts, against tests/reference.py, which
     # recomputes each round from the definitions; the corpus words of at
     # most 2 000 letters hold all but the longest random and periodic words
     checked, differ = 0, []
-    for i, w in enumerate(digest.corpus(morphprim)):
+    for i, (w, r) in enumerate(digest_runs):
         if w.n <= 2000:
-            got = [(r.letter, r.left_cuts, r.right_cuts) for r in run(w).rounds]
+            got = [(rd.letter, rd.left_cuts, rd.right_cuts) for rd in r.rounds]
             checked += 1
             if got != reference_rounds(w):
                 differ.append(i)
@@ -212,13 +220,12 @@ def test_factor_cuts_match_definition(w):
     assert r.factor_cuts == factor_cuts_by_definition(w, r.morphism)
 
 
-def test_factor_cuts_are_right_cuts_on_the_digest_corpus():
+def test_factor_cuts_are_right_cuts_on_the_digest_corpus(digest_runs):
     # the engine's module docstring argues that every block ends at a cut
     # tied to a right cut by its letter's star
     checked, outside = 0, []
-    for i, w in enumerate(digest.corpus(morphprim)):
+    for i, (w, r) in enumerate(digest_runs):
         if w.n <= 2000:
-            r = run(w)
             checked += 1
             if not set(r.factor_cuts) <= set(r.right_cuts):
                 outside.append(i)
@@ -256,27 +263,17 @@ def test_alpha_query_matches_naive_alpha(w, data):
     assert 1 <= probes <= len(set(idx.count))
 
 
-@given(tied_token_words())
-def test_scan_with_queries_matches_naive_alpha(w):
+@pytest.mark.parametrize("strategy", [words, tied_token_words()], ids=["words", "tied_token_words"])
+@given(data=st.data())
+def test_violation_scan_matches_naive_alpha(strategy, data):
     # the scan picks queries or suffix minima per segment; either way every
     # round's letter is the naive first violation, and a call reads at most n
+    w = data.draw(strategy)
     state = EngineState(w)
     while True:
         a = find_violation(state)
         assert a == first_violation_naive(w, state)
         assert state.last_scan <= w.n
-        if a is None:
-            break
-        expand_letter(state, a)
-
-
-@given(words)
-def test_engine_violation_scan_matches_naive_alpha(w):
-    # every stretch the scan reports must be the naive alpha of its interval
-    state = EngineState(w)
-    while True:
-        a = find_violation(state)
-        assert a == first_violation_naive(w, state)
         if a is None:
             break
         expand_letter(state, a)
