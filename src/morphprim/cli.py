@@ -8,9 +8,11 @@ families) and ``bench`` (CSV rows for words from args or stdin, or with
 counters as ``Counters`` does: ``scanned``, ``visits``, ``edges`` and
 ``cells``.
 
-Exit codes: 0 ok, 1 usage error, 2 size-guard refusal, 3 I/O failure.  A
-command whose stdout has no reader left also exits 1, with nothing on
-stderr: click ends it so on ``EPIPE``.
+Exit codes: 0 ok, 1 usage error, 2 size-guard refusal, 3 I/O failure, 4
+out of memory.  A command whose stdout has no reader left also exits 1,
+with nothing on stderr: click ends it so on ``EPIPE``.  A command that
+runs out of memory prints one line to stderr and exits 4; what it printed
+before, such as ``check``'s verdicts for the words before, stays printed.
 """
 
 from __future__ import annotations
@@ -117,7 +119,18 @@ tokens_option = click.option("--tokens", is_flag=True,
                              help="Treat whitespace-separated tokens as letters.")
 
 
-@click.group()
+class _Group(click.Group):
+    """A group whose commands exit 4, not with a traceback, on ``MemoryError``."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            click.echo("error: out of memory", err=True)
+            sys.exit(4)
+
+
+@click.group(cls=_Group)
 def cli():
     """Decide morphic primitivity and construct fixed-point morphisms."""
 

@@ -28,10 +28,11 @@ byte arrays in place, a left cut by ``find`` and the right cut that ends
 its segment by ``find``.  The searches of each kind read disjoint
 stretches of an array, so a round's scan and the ``rfind`` of its
 ``expand_letter`` read at most ``3(n + 1)`` flag bytes, at C speed; no
-counter counts them.  No round copies a list: a round's record keeps the
-lengths of the forest's join logs, from which its cut sets are rebuilt
-only when they are read.  The factor cuts are the ends of the image
-blocks, found from the occurrences of the expanding letters.
+counter counts them.  No round copies a list: a round keeps nine counts
+(see ``Rounds``), among them the lengths of the forest's join logs, from
+which its cut sets are rebuilt only when they are read.  The factor cuts
+are the ends of the image blocks, found from the occurrences of the
+expanding letters.
 
 Every factor cut is a right cut.  ``image`` anchors the image of a kept
 letter at its first occurrence ``first``, a right cut, and ends it at a
@@ -62,9 +63,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .forest import SyncForest
 from .words import Morphism, Neighborhood, PosIndex, Word, build_index, neighborhood
@@ -74,9 +76,10 @@ class RoundRecord(NamedTuple):
     """What one round of the main loop did; a round's number is its place
     in ``rounds``, counted from 1.
 
-    The L/R cuts after the round are the first ``left_size`` and
-    ``right_size`` cuts of the forest's join logs (``log``, one
-    ``array("I")`` per side, shared by every record), which only grow;
+    ``Rounds`` builds a record, with its ``Neighborhood``, each time a round
+    is read; it stores none.  The L/R cuts after the round are the first
+    ``left_size`` and ``right_size`` cuts of the forest's join logs (``log``,
+    one ``array("I")`` per side, shared by every record), which only grow;
     ``left_cuts`` and ``right_cuts`` sort them into tuples of ints when
     read.
     """
@@ -97,6 +100,55 @@ class RoundRecord(NamedTuple):
     @property
     def right_cuts(self) -> tuple[int, ...]:
         return tuple(sorted(self.log["R"][: self.right_size]))
+
+
+class Rounds(Sequence):
+    """The rounds of a run, in order, read as ``RoundRecord``s built on access.
+
+    A round is stored as nine counts in ``counts``, one ``array("Q")`` for
+    the run: ``letter``, the neighborhood's ``left_len``, ``right_len`` and
+    ``visited``, then ``scanned``, ``edges``, ``cells``, ``left_size`` and
+    ``right_size``.  They are 64-bit, as one round's ``cells`` can pass
+    ``2**32`` on a long word.  ``log`` is the forest's join logs, which
+    every record shares.
+    """
+
+    __slots__ = ("log", "counts")
+
+    def __init__(self, log: dict[str, array]) -> None:
+        self.log = log
+        self.counts = array("Q")
+
+    def _record(self, letter, left, right, visited, scanned, edges, cells,
+                left_size, right_size) -> RoundRecord:
+        # tuple.__new__ skips the argument parsing of the NamedTuples' __new__
+        return tuple.__new__(RoundRecord, (
+            letter, tuple.__new__(Neighborhood, (left, right, visited)),
+            scanned, edges, cells, self.log, left_size, right_size,
+        ))
+
+    def __len__(self) -> int:
+        return len(self.counts) // 9
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        # range() wraps a negative index and raises IndexError past the end
+        k = range(len(self))[i] * 9
+        return self._record(*self.counts[k : k + 9])
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        # nine counts at a time, from one iterator over the array
+        counts = iter(self.counts)
+        return (self._record(*nine) for nine in zip(*[counts] * 9))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Rounds:
+            return NotImplemented
+        return self.counts == other.counts and self.log == other.log
+
+    def __repr__(self) -> str:
+        return f"Rounds(log={self.log!r}, counts={self.counts!r})"
 
 
 class Counters:
@@ -153,7 +205,7 @@ class EngineState:
         # neighborhoods computed by the caller, which expand_letter uses
         # instead of its own; run() hands over none
         self.neighborhoods: dict[int, Neighborhood] = {}
-        self.rounds: list[RoundRecord] = []
+        self.rounds = Rounds(self.forest.log)
         self.counters = Counters()
         self.last_scan = 0
 
@@ -318,8 +370,7 @@ def expand_letter(state: EngineState, a: int) -> None:
     forest = state.forest
     if first - left - 1 < 0 or first + right > forest.n:
         raise ValueError(f"neighborhood {nb} of letter {a} leaves the word")
-    log = forest.log
-    log_l, log_r = log["L"], log["R"]
+    log_l, log_r = forest.log["L"], forest.log["R"]
     old_l, old_r = len(log_l), len(log_r)
 
     edges = forest.add_star(occ, -left - 1, right + 1)
@@ -356,11 +407,10 @@ def expand_letter(state: EngineState, a: int) -> None:
     counters.visits += visited
     counters.edges += edges
     counters.cells += cells
-    # tuple.__new__ skips the argument parsing of RoundRecord's __new__
-    state.rounds.append(tuple.__new__(RoundRecord, (
-        a, nb, state.last_scan, edges, cells,
-        log, len(log_l), len(log_r),
-    )))
+    state.rounds.counts.extend((
+        a, left, right, visited, state.last_scan, edges, cells,
+        len(log_l), len(log_r),
+    ))
 
 
 def image(state: EngineState, a: int) -> tuple[int, ...]:
@@ -395,7 +445,7 @@ class FactorizationResult:
     word: Word
     morphism: Morphism
     primitive: bool
-    rounds: tuple[RoundRecord, ...]
+    rounds: Rounds
     left_cuts: tuple[int, ...]
     right_cuts: tuple[int, ...]
     factor_cuts: tuple[int, ...]
@@ -445,7 +495,7 @@ def run(word: Word) -> FactorizationResult:
             break
         expand_letter(state, a)
 
-    expanding, rounds, counters = state.expanding, tuple(state.rounds), state.counters
+    expanding, rounds, counters = state.expanding, state.rounds, state.counters
     log = state.forest.log
     m = word.alphabet_size
     primitive = len(expanding) == m

@@ -11,6 +11,7 @@ import pytest
 
 from click.testing import CliRunner
 
+from morphprim import run
 from morphprim.cli import cli
 
 from conftest import EXAMPLE_WORD
@@ -207,6 +208,27 @@ def test_closed_stdout_exit_code(command):
         _, err = proc.communicate(b"abba\n" * 10, timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+# run() runs out of memory on a word of more than four letters: the command
+# prints one line to stderr and exits 4, and check's verdicts for the words
+# before stay on stdout
+@pytest.mark.parametrize("args, stdin, printed", [
+    (("check", "abba", "abaaba", "aa"), None, "abba\tprimitive\n"),
+    (("check",), "abba\nabaaba\naa\n", "abba\tprimitive\n"),
+    (("factorize", "abaaba"), None, ""),
+])
+def test_out_of_memory_exit_code(monkeypatch, args, stdin, printed):
+    def short_of_memory(w):
+        if w.n > 4:
+            raise MemoryError
+        return run(w)
+
+    monkeypatch.setattr("morphprim.cli.run", short_of_memory)
+    res = invoke(*args, input=stdin)
+    assert res.exit_code == 4
+    assert res.stdout == printed
+    assert res.stderr == "error: out of memory\n"
 
 
 class TestFactorize:

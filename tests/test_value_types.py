@@ -2,7 +2,8 @@
 
 Only ``FactorizationResult`` stays a dataclass, for ``dataclasses.replace``;
 the others are ``NamedTuple``s or ``__slots__`` classes, whose classes are
-built at import without generating methods.
+built at import without generating methods.  ``Rounds``, a result's
+``rounds``, is a sequence that builds each ``RoundRecord`` when it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from morphprim import (
     min_expanding,
     run,
 )
-from morphprim.engine import Counters
+from morphprim.engine import Counters, RoundRecord, Rounds
 from morphprim.words import PosIndex, build_index
 
 
@@ -91,6 +92,34 @@ def test_counters_start_at_zero():
     assert Counters().__eq__(object()) is NotImplemented
     assert Counters() != (0, 0, 0, 0, 0)
     assert repr(c) == "Counters(scanned=1, visits=0, edges=0, cells=0, loop_checks=0)"
+
+
+def test_rounds_read_as_a_sequence_of_records():
+    w = intern_word("abcbabcbabcacbabcba")
+    rounds = run(w).rounds
+    records = list(rounds)
+    assert len(rounds) == len(records) == 3
+    assert all(type(r) is RoundRecord for r in records)
+    # iteration, indexing and slicing give the records in recording order
+    assert [w.symbols[r.letter] for r in records] == ["c", "a", "b"]
+    assert rounds[-1] == rounds[2] == records[-1]
+    assert rounds[1:] == tuple(records[1:])
+    assert rounds[::-1] == tuple(reversed(records))
+    with pytest.raises(IndexError):
+        rounds[3]
+    assert rounds == run(w).rounds
+    assert rounds != run(intern_word("abcbabcbabcacbabcbb")).rounds
+    # the repr shows the join logs and the counts, and no address
+    assert repr(run(intern_word("abaaba")).rounds) == (
+        "Rounds(log={'L': array('I', [0, 6, 3, 1, 4]), 'R': array('I', [0, 6, 3, 2, 5])}, "
+        "counts=array('Q', [1, 1, 1, 5, 2, 4, 4, 5, 5]))"
+    )
+    assert " at 0x" not in repr(run(w))
+    # nine counts per round, each 64-bit
+    big = Rounds({"L": array("I", [0, 1]), "R": array("I", [0])})
+    big.counts.extend((3, 1, 2, 2**33, 4, 5, 2**40, 2, 1))
+    assert big[0].neighborhood.visited == 2**33 and big[0].cells == 2**40
+    assert big[0].left_cuts == (0, 1) and big[0].right_cuts == (0,)
 
 
 def test_results_can_be_replaced_field_by_field():
