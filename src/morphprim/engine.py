@@ -28,11 +28,11 @@ byte arrays in place, a left cut by ``find`` and the right cut that ends
 its segment by ``find``.  The searches of each kind read disjoint
 stretches of an array, so a round's scan and the ``rfind`` of its
 ``expand_letter`` read at most ``3(n + 1)`` flag bytes, at C speed; no
-counter counts them.  No round copies a list: a round keeps nine counts
-(see ``Rounds``), among them the lengths of the forest's join logs, from
-which its cut sets are rebuilt only when they are read.  The factor cuts
-are the ends of the image blocks, found from the occurrences of the
-expanding letters.
+counter counts them.  No round copies a list: a round keeps nine counts,
+32-bit below about ``2.96 * 10**8`` letters (see ``Rounds``), among them
+the lengths of the forest's join logs, from which its cut sets are rebuilt
+only when they are read.  The factor cuts are the ends of the image
+blocks, found from the occurrences of the expanding letters.
 
 Every factor cut is a right cut.  ``image`` anchors the image of a kept
 letter at its first occurrence ``first``, a right cut, and ends it at a
@@ -105,19 +105,35 @@ class RoundRecord(NamedTuple):
 class Rounds(Sequence):
     """The rounds of a run, in order, read as ``RoundRecord``s built on access.
 
-    A round is stored as nine counts in ``counts``, one ``array("Q")`` for
-    the run: ``letter``, the neighborhood's ``left_len``, ``right_len`` and
+    A round is stored as nine counts in ``counts``, one array for the run:
+    ``letter``, the neighborhood's ``left_len``, ``right_len`` and
     ``visited``, then ``scanned``, ``edges``, ``cells``, ``left_size`` and
-    ``right_size``.  They are 64-bit, as one round's ``cells`` can pass
-    ``2**32`` on a long word.  ``log`` is the forest's join logs, which
-    every record shares.
+    ``right_size``.  On a word of ``n`` letters none passes
+    ``count_bound(n)``: a letter is below ``m <= n``, a neighborhood's
+    lengths below ``n`` and its ``visited`` at most ``2n``, ``scanned`` at
+    most ``n`` per call, ``edges`` below ``2n`` and ``cells`` at most
+    ``(N / 2) * log2(N)`` per run, and a log's size at most ``N = n + 1``.
+    So the counts are 32-bit, an ``array("I")``, while that bound is below
+    ``2**32``, that is up to ``n = longest_32``, and 64-bit, an
+    ``array("Q")``, on longer words.  ``log`` is the forest's join logs,
+    which every record shares.
     """
 
     __slots__ = ("log", "counts")
 
-    def __init__(self, log: dict[str, array]) -> None:
+    # count_bound grows with n, so it is below 2**32 exactly up to this n;
+    # comparing n with it costs each run less than computing the bound
+    longest_32 = 296_204_640
+
+    def __init__(self, log: dict[str, array], n: int) -> None:
         self.log = log
-        self.counts = array("Q")
+        self.counts = array("I" if n <= Rounds.longest_32 else "Q")
+
+    @staticmethod
+    def count_bound(n: int) -> int:
+        """The most any count of a round of an ``n``-letter word can be."""
+        big = n + 1
+        return max(2 * n, big * big.bit_length() // 2)
 
     def _record(self, letter, left, right, visited, scanned, edges, cells,
                 left_size, right_size) -> RoundRecord:
@@ -205,7 +221,7 @@ class EngineState:
         # neighborhoods computed by the caller, which expand_letter uses
         # instead of its own; run() hands over none
         self.neighborhoods: dict[int, Neighborhood] = {}
-        self.rounds = Rounds(self.forest.log)
+        self.rounds = Rounds(self.forest.log, n)
         self.counters = Counters()
         self.last_scan = 0
 
@@ -329,7 +345,7 @@ def find_violation(state: EngineState) -> int | None:
             # right-to-left pass that keeps ties at the leftmost index
             best = letters[r - 1]
             least = freq[best]
-            for i in range(r - 1, l - 1, -1):
+            for i in range(r - 2, l - 1, -1):
                 b = letters[i]
                 f = freq[b]
                 if f <= least:
@@ -511,6 +527,10 @@ def run(word: Word) -> FactorizationResult:
             for a in expanding
         ]
     del state
+    # from an iterator, CPython sizes the frozenset's table as it would a
+    # set's, not at twice the size it gives a copy of a set; rebinding the
+    # name frees the set before any result tuple is built
+    expanding = frozenset(iter(expanding))
     if primitive:
         images = tuple(zip(range(m)))
         left_cuts = right_cuts = factor_cuts = tuple(range(word.n + 1))
@@ -527,7 +547,7 @@ def run(word: Word) -> FactorizationResult:
         right_cuts = tuple(sorted(log["R"]))
     return FactorizationResult(
         word=word,
-        morphism=Morphism(expanding=frozenset(expanding), images=images),
+        morphism=Morphism(expanding=expanding, images=images),
         primitive=primitive,
         rounds=rounds,
         left_cuts=left_cuts,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import weakref
 from itertools import permutations
 
@@ -784,14 +785,24 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
     pytest.param(intern_word("abccc" * 4000), 42, id="abccc"),
     # the planted word of tests/peak.py: 32.2, against 39.5
     pytest.param(planted_word(morphprim, random.Random(1), 12, 3, 3000), 37, id="planted"),
-    # wn keeps nine counts per round: 170.0, where a record object per
-    # round read 253.5
-    pytest.param(palindrome_pair_word(1024), 190, id="wn"),
+    # wn keeps nine 32-bit counts per round and a frozenset sized like its
+    # set: 120.5 (123.1 on Python 3.10), where 64-bit counts and a frozenset
+    # copied from the set read 170.0 and a record object per round 253.5
+    pytest.param(palindrome_pair_word(1024), 135, id="wn"),
 ])
 def test_readout_runs_without_the_engine_state(w, gate):
     # run() frees its state, the union-find included, before it builds the
     # result's tuples, which then come on top of the join logs alone
     assert peak_alloc(w) <= gate * w.n
+
+
+def test_expanding_frozenset_is_no_larger_than_its_set():
+    # a frozenset copied from a set gets twice the set's table (16 600
+    # bytes against 8 408 for 256 letters on CPython 3.11); run() builds
+    # it from an iterator, which sizes it as a set
+    expanding = run(palindrome_pair_word(256)).morphism.expanding
+    assert expanding == frozenset(range(256))
+    assert sys.getsizeof(expanding) <= sys.getsizeof(set(range(256)))
 
 
 def test_forest_holds_no_int_object_per_cut():

@@ -12,6 +12,7 @@ from morphprim.cli import parse_word, trace_document
 from morphprim.engine import (
     Counters,
     EngineState,
+    Rounds,
     alpha_query,
     expand_letter,
     find_violation,
@@ -165,9 +166,12 @@ def test_reversal_keeps_verdict_and_size_on_the_digest_corpus(digest_runs):
 def test_rounds_match_the_reference_engine_on_the_digest_corpus(digest_runs):
     # every round's letter and L/R cuts, against tests/reference.py, which
     # recomputes each round from the definitions; the corpus words of at
-    # most 2 000 letters hold all but the longest random and periodic words
+    # most 2 000 letters hold all but the longest random and periodic words.
+    # On every corpus word, each of a round's nine counts stays within the
+    # bound that lets Rounds store them in 32 bits
     checked, differ = 0, []
     for i, (w, r) in enumerate(digest_runs):
+        assert max(r.rounds.counts, default=0) <= Rounds.count_bound(w.n)
         if w.n <= 2000:
             got = [(rd.letter, rd.left_cuts, rd.right_cuts) for rd in r.rounds]
             checked += 1

@@ -109,17 +109,27 @@ def test_rounds_read_as_a_sequence_of_records():
         rounds[3]
     assert rounds == run(w).rounds
     assert rounds != run(intern_word("abcbabcbabcacbabcbb")).rounds
-    # the repr shows the join logs and the counts, and no address
+    # the repr shows the join logs and the 32-bit counts, and no address
     assert repr(run(intern_word("abaaba")).rounds) == (
         "Rounds(log={'L': array('I', [0, 6, 3, 1, 4]), 'R': array('I', [0, 6, 3, 2, 5])}, "
-        "counts=array('Q', [1, 1, 1, 5, 2, 4, 4, 5, 5]))"
+        "counts=array('I', [1, 1, 1, 5, 2, 4, 4, 5, 5]))"
     )
     assert " at 0x" not in repr(run(w))
-    # nine counts per round, each 64-bit
-    big = Rounds({"L": array("I", [0, 1]), "R": array("I", [0])})
+    # nine counts per round, 64-bit for a word too long for 32-bit counts
+    big = Rounds({"L": array("I", [0, 1]), "R": array("I", [0])}, 2**32)
     big.counts.extend((3, 1, 2, 2**33, 4, 5, 2**40, 2, 1))
     assert big[0].neighborhood.visited == 2**33 and big[0].cells == 2**40
     assert big[0].left_cuts == (0, 1) and big[0].right_cuts == (0,)
+
+
+# N = n + 1 cuts: cells reach at most N * 29 // 2 for 2**28 <= N < 2**29,
+# which stays below 2**32 up to N = 296_204_641
+@pytest.mark.parametrize("n, typecode", [(296_204_640, "I"), (296_204_641, "Q")])
+def test_rounds_keep_32_bit_counts_while_their_bound_fits(n, typecode):
+    # no word of that length is needed: Rounds sizes its counts by n alone
+    rounds = Rounds({"L": array("I"), "R": array("I")}, n)
+    assert rounds.counts.typecode == typecode
+    assert (Rounds.count_bound(n) < 2**32) == (typecode == "I")
 
 
 def test_results_can_be_replaced_field_by_field():
