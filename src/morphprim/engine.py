@@ -28,7 +28,9 @@ byte arrays in place, a left cut by ``find`` and the right cut that ends
 its segment by ``find``.  The searches of each kind read disjoint
 stretches of an array, so a round's scan and the ``rfind`` of its
 ``expand_letter`` read at most ``3(n + 1)`` flag bytes, at C speed; no
-counter counts them.  No round copies a list: a round keeps nine counts,
+counter counts them.  A round buffers its own star in the forest's
+``pending``, with no call: the one range check of its neighborhood covers
+every cut of the star.  No round copies a list: a round keeps nine counts,
 32-bit below about ``2.96 * 10**8`` letters (see ``Rounds``), among them
 the lengths of the forest's join logs, from which its cut sets are rebuilt
 only when they are read.  The factor cuts are the ends of the image
@@ -66,6 +68,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .forest import SyncForest
@@ -311,7 +314,9 @@ def find_violation(state: EngineState) -> int | None:
         # the cuts are {0, n}: the one segment is the whole word, whose
         # leftmost least-frequent letter the index gives in O(m)
         pos = state.index.pos
-        a = min(range(len(freq)), key=lambda b: (freq[b], pos[b][0]))
+        # no two letters share a first occurrence, so the tuples compare no
+        # further than it
+        a = min(zip(freq, map(itemgetter(0), pos), range(len(freq))))[2]
         state.scan_from, state.last_scan = 0, len(freq)
         state.counters.scanned += len(freq)
         return a
@@ -384,12 +389,18 @@ def expand_letter(state: EngineState, a: int) -> None:
     occ = state.index.pos[a]
     first = occ[0]
     forest = state.forest
-    if first - left - 1 < 0 or first + right > forest.n:
+    # the occurrences are sorted, so the star's lowest cut is around the
+    # first and its highest around the last
+    if first - left - 1 < 0 or occ[-1] + right > forest.n:
         raise ValueError(f"neighborhood {nb} of letter {a} leaves the word")
     log_l, log_r = forest.log["L"], forest.log["R"]
     old_l, old_r = len(log_l), len(log_r)
 
-    edges = forest.add_star(occ, -left - 1, right + 1)
+    # the star of forest.add_star, buffered here, as the check above covers
+    # every cut it ties; a single occurrence ties none
+    edges = (len(occ) - 1) * (left + right + 2)
+    if edges:
+        forest.pending.append((occ, -left - 1, right + 1))
     cells = forest.recompress()
     # the first occurrence's four cuts, flagged where not yet; the star
     # carries each flag to every occurrence
@@ -545,15 +556,10 @@ def run(word: Word) -> FactorizationResult:
         del ends
         left_cuts = tuple(sorted(log["L"]))
         right_cuts = tuple(sorted(log["R"]))
+    # by position, in field order: keywords cost each run a little more
     return FactorizationResult(
-        word=word,
-        morphism=Morphism(expanding=expanding, images=images),
-        primitive=primitive,
-        rounds=rounds,
-        left_cuts=left_cuts,
-        right_cuts=right_cuts,
-        factor_cuts=factor_cuts,
-        counters=counters,
+        word, Morphism(expanding=expanding, images=images), primitive, rounds,
+        left_cuts, right_cuts, factor_cuts, counters,
     )
 
 

@@ -89,7 +89,10 @@ class SyncForest:
         at the next recompress.
 
         Returns the number of edges buffered.  A cut out of range raises
-        ``ValueError`` and buffers nothing.
+        ``ValueError`` and buffers nothing.  The engine does not call it:
+        ``expand_letter`` checks that its star's cuts, around the first
+        and the last occurrence, lie in the word, which covers every star
+        it builds, and appends the star to ``pending`` itself.
         """
         if len(occ) < 2 or hi <= lo:
             return 0

@@ -119,12 +119,18 @@ class PosIndex(NamedTuple):
     pos: tuple[array, ...]
 
 
+# sliced for each letter's positions: a slice copies the typecode, where
+# array("I") parses it on every call
+_NO_POSITIONS = array("I")
+
+
 def build_index(w: Word) -> PosIndex:
     """Build the occurrence index in one left-to-right pass."""
-    occ = [array("I") for _ in range(w.alphabet_size)]
+    occ = [_NO_POSITIONS[:] for _ in range(w.alphabet_size)]
     for p, a in enumerate(w.letters, start=1):
         occ[a].append(p)
-    return PosIndex(count=tuple(map(len, occ)), pos=tuple(occ))
+    # tuple.__new__ skips PosIndex.__new__'s argument parsing
+    return tuple.__new__(PosIndex, (tuple(map(len, occ)), tuple(occ)))
 
 
 class Neighborhood(NamedTuple):

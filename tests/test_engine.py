@@ -137,6 +137,19 @@ class TestExpandLetter:
             expand_letter(state, 0)
         assert state.expanding == set()
 
+    def test_neighborhood_past_the_end_of_a_later_occurrence_rejected(self, monkeypatch):
+        # 'a' at 1 and 3 with right = 1: the first occurrence's cut 2 is in
+        # "aba", the last one's cut 4 is not; no star is buffered
+        w = intern_word("aba")
+        state = EngineState(w)
+        monkeypatch.setattr(
+            "morphprim.engine.neighborhood", lambda *args: Neighborhood(0, 1, 0)
+        )
+        with pytest.raises(ValueError, match="leaves the word"):
+            expand_letter(state, letter_id(w, "a"))
+        assert state.expanding == set()
+        assert state.forest.pending == []
+
 
 class TestFindViolation:
     def test_initial_example(self):
