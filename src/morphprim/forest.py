@@ -1,26 +1,28 @@
 """Synchronization forest over cuts.
 
-Each connected component of cuts that holds two or more cuts keeps its
-members in one ``array("I")`` (``comp``): ``comp[c]`` is that array for
-every member ``c``, the same object for all of them, so a component is
-named by its array, and two cuts share one exactly when their entries are
-the same object (``is``).  A lone cut, the only member of its component,
-has ``None``.  The arrays hold 4 bytes per member and no int object, so a
-cut must fit in 32 bits, as a ``PosIndex`` position must; their sizes are
-their lengths.  Which members an array lists first depends on the order of
-the merges; nothing reads it but the forest.  Each side has one byte per
-cut (``flags["L"]`` and ``flags["R"]``, each a ``bytearray`` of ``n + 1``
-bytes), 1 where the cut belongs to that side's cut set and 0 elsewhere.
-A component joins a side as a whole, so its members' bytes always agree,
-and no byte is ever cleared.  A new forest has cuts ``0`` and ``n`` on
-both sides, as the extremal cuts of a word are always left and right cuts.
-A cut joins a side only when its component does, so every cut joins each
-side at most once per run.  Each side appends its cuts to a join log
-(``log``, an ``array("I")``) in the order they join; sorted, a prefix of
-the log is the side as it stood when the log had that length, so no
-earlier state needs a copy.  The byte arrays are the sides as they stand
-now, which a reader searches in place (``bytearray.find`` and ``rfind``);
-the logs are their history.
+Each connected component of cuts that holds two or more cuts, or that is
+on a side, keeps its members in one ``array("I")`` (``comp``): ``comp[c]``
+is that array for every member ``c``, the same object for all of them, so
+a component is named by its array, and two cuts share one exactly when
+their entries are the same object (``is``).  A cut on a side is never
+lone: a cut that joins a side with no partner gets a one-member array, so
+``None`` marks a cut with no partner and no side.  The arrays hold 4 bytes
+per member and no int object, so a cut must fit in 32 bits, as a
+``PosIndex`` position must; their sizes are their lengths.  Which members
+an array lists first depends on the order of the merges; nothing reads it
+but the forest.  Each side has one byte per cut (``flags["L"]`` and
+``flags["R"]``, each a ``bytearray`` of ``n + 1`` bytes), 1 where the cut
+belongs to that side's cut set and 0 elsewhere.  A component joins a side
+as a whole, so its members' bytes always agree, and no byte is ever
+cleared.  A new forest has cuts ``0`` and ``n`` on both sides, as the
+extremal cuts of a word are always left and right cuts.  A cut joins a
+side only when its component does, so every cut joins each side at most
+once per run.  Each side appends its cuts to a join log (``log``, an
+``array("I")``) in the order they join; sorted, a prefix of the log is the
+side as it stood when the log had that length, so no earlier state needs a
+copy.  The byte arrays are the sides as they stand now, which a reader
+searches in place (``bytearray.find`` and ``rfind``); the logs are their
+history.
 
 New edges are buffered as stars, each tying the cuts around every
 occurrence of a letter to the same cuts around its first occurrence, and
@@ -28,11 +30,12 @@ merged in place at the next recompression by weighted quick-find: an edge
 between two components moves every member of the smaller one into the
 larger one's array and points its entry at that array, so every entry
 names its component after every edge and no root is searched for.  Most
-merges meet a lone cut, which is appended to the other's array and takes
-the other's sides in its own bytes, with no call.  The count of cells is
-one per cut moved into another component's array.  A cut moves only when
-its component at least doubles, so a run over ``N = n + 1`` cuts counts at
-most ``(N / 2) * log2(N)`` cells; see ``SyncForest.recompress``.
+merges meet a lone cut, which is on no side: it is appended to the
+other's array and takes the other's sides in its own bytes, with no call.
+The count of cells is one per cut moved into another component's array.
+A cut moves only when its component at least doubles, so a run over
+``N = n + 1`` cuts counts at most ``(N / 2) * log2(N)`` cells; see
+``SyncForest.recompress``.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ class SyncForest:
         if n < 0:
             raise ValueError("word length must be non-negative")
         self.n = n
-        # comp[c]: None while c is lone, else its component's member array
-        self.comp: list[array | None] = [None] * (n + 1)
         # per side, one byte per cut: 1 on the side, the same at every
         # member of a component; any other side is a KeyError.  Cuts 0 and
         # n start on both sides: |f(empty prefix)| = 0 and |f(w)| = n for
@@ -64,6 +65,11 @@ class SyncForest:
         # per side: every flagged cut once, in the order it joined
         ends = array("I", (0, n) if n else (0,))
         self.log: dict[str, array] = {"L": ends, "R": ends[:]}
+        # comp[c]: None while c has no partner and no side, else its
+        # component's member array; a cut on a side is never lone, so cuts
+        # 0 and n start with one member each (one array when n = 0)
+        self.comp: list[array | None] = [None] * (n + 1)
+        self.comp[0], self.comp[n] = ends[:1], ends[-1:]
         # buffered stars: (occurrences, lo, hi), see add_star
         self.pending: list[tuple[Sequence[int], int, int]] = []
 
@@ -76,12 +82,22 @@ class SyncForest:
         log.extend(members)
 
     def set_flag(self, c: int, side: Side) -> None:
-        """Flag the whole component of ``c``; idempotent."""
+        """Flag the whole component of ``c``; idempotent.  A lone ``c``
+        gets a one-member array as it joins the side."""
         flags = self.flags[side]
         if not 0 <= c <= self.n:
             raise ValueError(f"cut {c} out of range 0..{self.n}")
         if not flags[c]:
-            self._join(self.comp[c] or (c,), flags, self.log[side])
+            log, members = self.log[side], self.comp[c]
+            if members is None:
+                # a cut on a side is never lone, so recompress's lone end
+                # is on no side: c joins with an array of its own, sliced
+                # from the log it joins, with no call
+                flags[c] = 1
+                log.append(c)
+                self.comp[c] = log[-1:]
+            else:
+                self._join(members, flags, log)
 
     def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
         """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
@@ -117,11 +133,10 @@ class SyncForest:
         (``extend``) and each of their entries is pointed at it, so every
         entry names its component again after every edge.  A lone end is
         the smaller one: it is appended to the other array, or with a lone
-        other end forms a new one, the other end first.  With no call, it
-        sets its own byte of each side the other component is on and
-        appends itself to that side's log; only a side that it is on and
-        the other is not makes the other component, or the lone other end,
-        join it through ``_join``.
+        other end forms a new one, the other end first.  A cut on a side is
+        never lone (``set_flag`` gives it an array), so the lone end is on
+        no side: with no call, it sets its own byte of each side the other
+        component is on and appends itself to that side's log.
 
         Returns the number of cells: one per cut moved into another array.
         A recompress does work in proportion to its cells, plus one check
@@ -147,47 +162,42 @@ class SyncForest:
                 for c in range(first + lo, first + hi):
                     d = c + shift
                     u, v = comp[c], comp[d]
-                    if v is None:
-                        # the lone d moves, as the second end of a tie does
-                        x, y = d, c
-                    elif u is None:
-                        x, y, u = c, d, v
-                    else:
-                        if u is v:
+                    if v is not None:
+                        if u is None:
+                            # the lone end is called d: a lone d moves, as
+                            # the second end of a tie does
+                            c, d, u = d, c, v
+                        elif u is v:
                             continue
-                        if len(u) < len(v):
-                            # v names the smaller; each end goes with its array
-                            u, v, c, d = v, u, d, c
-                        # a side that holds one component only gains the
-                        # other's members
-                        if fl[c] != fl[d]:
-                            self._join(v if fl[c] else u, fl, log_l)
-                        if fr[c] != fr[d]:
-                            self._join(v if fr[c] else u, fr, log_r)
-                        u.extend(v)
-                        for x in v:
-                            comp[x] = u
-                        cells += len(v)
-                        continue
-                    # the lone x takes y's sides in its own bytes; y's
-                    # component joins only a side that x alone is on
-                    if fl[x] != fl[y]:
-                        if fl[y]:
-                            fl[x] = 1
-                            log_l.append(x)
                         else:
-                            self._join(u or (y,), fl, log_l)
-                    if fr[x] != fr[y]:
-                        if fr[y]:
-                            fr[x] = 1
-                            log_r.append(x)
-                        else:
-                            self._join(u or (y,), fr, log_r)
+                            if len(u) < len(v):
+                                # v names the smaller; each end goes with
+                                # its array
+                                u, v, c, d = v, u, d, c
+                            # a side that holds one component only gains
+                            # the other's members
+                            if fl[c] != fl[d]:
+                                self._join(v if fl[c] else u, fl, log_l)
+                            if fr[c] != fr[d]:
+                                self._join(v if fr[c] else u, fr, log_r)
+                            u.extend(v)
+                            for x in v:
+                                comp[x] = u
+                            cells += len(v)
+                            continue
+                    # the lone d, on no side, takes c's sides in its own
+                    # bytes
+                    if fl[c]:
+                        fl[d] = 1
+                        log_l.append(d)
+                    if fr[c]:
+                        fr[d] = 1
+                        log_r.append(d)
                     if u is None:
-                        comp[x] = comp[y] = array("I", (y, x))
+                        comp[c] = comp[d] = array("I", (c, d))
                     else:
-                        u.append(x)
-                        comp[x] = u
+                        u.append(d)
+                        comp[d] = u
                     cells += 1
         # emptied in place, so the stars are freed now, not at return
         pending.clear()

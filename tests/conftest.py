@@ -105,19 +105,22 @@ def same_component(forest, c: int, d: int) -> bool:
 def assert_components(forest) -> None:
     """The member arrays' invariants: every non-``None`` ``comp[c]`` holds
     ``c``; every member of an array has that same array object as its
-    entry; the arrays, two or more cuts each, are disjoint and cover the
-    cuts that are not lone; and the members of each agree on both sides'
-    bytes."""
+    entry; the arrays are disjoint and cover the cuts whose entry is not
+    ``None``; the members of each agree on both sides' bytes; and a cut on
+    a side is never lone, so a ``None`` entry is on neither side and an
+    array has one member only when that cut is on a side."""
     comp = forest.comp
+    fl, fr = forest.flags["L"], forest.flags["R"]
     assert len(comp) == forest.n + 1
     arrays = {id(members): members for members in comp if members is not None}
     for c, members in enumerate(comp):
         assert members is None or c in members
+        assert members is not None or not (fl[c] or fr[c])
     for members in arrays.values():
-        assert members.typecode == "I" and len(members) >= 2
+        assert members.typecode == "I"
+        assert len(members) >= 2 or fl[members[0]] or fr[members[0]]
         assert all(comp[x] is members for x in members)
-        for side in "LR":
-            flags = forest.flags[side]
+        for flags in (fl, fr):
             assert all(flags[x] == flags[members[0]] for x in members)
     moved = sorted(x for members in arrays.values() for x in members)
     assert moved == [c for c, members in enumerate(comp) if members is not None]

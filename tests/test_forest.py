@@ -45,11 +45,16 @@ def side_bytes(f):
 def test_new_forest_singletons():
     # every cut alone in its component; the extremal cuts, which are left
     # and right cuts of every word, flagged on both sides and in both logs,
-    # and no other cut flagged
+    # and no other cut flagged; a cut on a side is never lone, so cuts 0
+    # and n each hold a one-member array and every other cut None
     for n in (0, 1, 8):
         f = SyncForest(n)
         ends = [0, n] if n else [0]
-        assert f.comp == [None] * (n + 1)
+        assert [None if m is None else m.tolist() for m in f.comp] == [
+            [c] if c in (0, n) else None for c in range(n + 1)
+        ]
+        assert all(f.comp[c].typecode == "I" for c in ends)
+        assert n == 0 or f.comp[0] is not f.comp[n]
         assert side_bytes(f) == [3 if c in (0, n) else 0 for c in range(n + 1)]
         assert f.flags["L"] is not f.flags["R"]
         assert logs(f) == {"L": ends, "R": ends}
@@ -97,6 +102,20 @@ def test_set_flag_spreads_over_component():
     assert f.flags["L"][6]
     assert f.flags["L"][0]
     assert not f.flags["L"][1]
+
+
+def test_set_flag_gives_a_lone_cut_a_one_member_array():
+    # a cut on a side is never lone: the lone 2 joins L in an array of its
+    # own, which joining R keeps; an unflagged cut stays None
+    f = SyncForest(5)
+    f.set_flag(2, "L")
+    members = f.comp[2]
+    assert members.typecode == "I" and members.tolist() == [2]
+    f.set_flag(2, "R")
+    assert f.comp[2] is members and members.tolist() == [2]
+    assert f.comp[1] is f.comp[3] is None
+    assert logs(f) == {"L": [0, 5, 2], "R": [0, 5, 2]}
+    assert_sides(f)
 
 
 def test_set_flag_idempotent():
@@ -541,19 +560,20 @@ def test_lone_cut_takes_the_sides_of_a_component_on_l(star):
 
 
 def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
-    # {1, 3, 5} is on L, its array listing 1, 3, 5; the lone cut 6 is on
-    # R.  Merged, 6 takes L by its own byte, and the whole of {1, 3, 5}
-    # joins R through one join call, in its array's order
+    # {1, 3, 5} is on L, its array listing 1, 3, 5; the cut 6, with no
+    # partner, is on R, so it holds a one-member array.  Merged through the
+    # general branch, 6 joins L through one join call, and the whole of
+    # {1, 3, 5} joins R through another, in its array's order
     f = SyncForest(8)
     f.add_star((1, 3, 5), 0, 1)
     assert f.recompress() == 2
     f.set_flag(1, "L")
     f.set_flag(6, "R")
-    assert members(f, 1) == [1, 3, 5]
+    assert members(f, 1) == [1, 3, 5] and members(f, 6) == [6]
     calls = counting_joins(f)
     f.add_star((3, 6), 0, 1)
     assert f.recompress() == 1
-    assert calls == [[1, 3, 5]]
+    assert calls == [[6], [1, 3, 5]]
     assert members(f, 6) == [1, 3, 5, 6]
     assert logs(f) == {"L": [0, 8, 1, 3, 5, 6], "R": [0, 8, 6, 1, 3, 5]}
     assert side_bytes(f) == [3, 3, 0, 3, 0, 3, 3, 0, 3]
@@ -561,19 +581,38 @@ def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
 
 
 def test_two_lone_cuts_merge_the_second_into_the_first():
-    # 2 is on R and 5 on L, each alone: on the tie, 5 is put after 2 in a
-    # new array, and each takes the other's side, 5 by its own byte and 2
-    # by a join call
+    # 2 is on R and 5 on L, each with no partner, so each holds a
+    # one-member array: on the tie, 5 is put after 2 in 2's array, and
+    # each takes the other's side through a join call
     f = SyncForest(6)
     f.set_flag(5, "L")
     f.set_flag(2, "R")
     calls = counting_joins(f)
     f.add_star((2, 5), 0, 1)
     assert f.recompress() == 1
-    assert calls == [[2]]
+    assert calls == [[2], [5]]
     assert f.comp[2] is f.comp[5] and members(f, 2) == [2, 5]
     assert logs(f) == {"L": [0, 6, 5, 2], "R": [0, 6, 2, 5]}
     assert side_bytes(f) == [3, 0, 3, 0, 0, 3, 3]
+    assert_sides(f)
+
+
+@pytest.mark.parametrize("star", [(3, 6), (6, 3)], ids=["lone-second", "lone-first"])
+def test_lone_cut_takes_the_side_of_a_one_member_array(star):
+    # the cut 3, on R with no partner, holds a one-member array; the lone
+    # 6 is appended to it, one cell, and joins R by its own byte, with no
+    # join call, whichever end of the edge it is
+    f = SyncForest(8)
+    f.set_flag(3, "R")
+    one = f.comp[3]
+    assert one.tolist() == [3] and f.comp[6] is None
+    calls = counting_joins(f)
+    f.add_star(star, 0, 1)
+    assert f.recompress() == 1
+    assert calls == []
+    assert f.comp[3] is f.comp[6] is one and one.tolist() == [3, 6]
+    assert logs(f) == {"L": [0, 8], "R": [0, 8, 3, 6]}
+    assert side_bytes(f) == [3, 0, 0, 2, 0, 0, 2, 0, 3]
     assert_sides(f)
 
 
