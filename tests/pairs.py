@@ -66,8 +66,7 @@ def bench(copy: Path, workload: str, seed: int, seconds: float, smoke: bool, tim
     name, or the reason the run is not usable."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=timeout)
