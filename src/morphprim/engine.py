@@ -347,11 +347,11 @@ def find_violation(state: EngineState) -> int | None:
             best = letters[p - 1]
         else:
             # the leftmost least-frequent letter of positions l+1..r, by a
-            # right-to-left pass that keeps ties at the leftmost index
+            # right-to-left pass over a slice, which keeps ties at the
+            # leftmost index
             best = letters[r - 1]
             least = freq[best]
-            for i in range(r - 2, l - 1, -1):
-                b = letters[i]
+            for b in reversed(letters[l : r - 1]):
                 f = freq[b]
                 if f <= least:
                     best, least = b, f

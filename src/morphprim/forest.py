@@ -32,9 +32,11 @@ larger one's array and points its entry at that array, so every entry
 names its component after every edge and no root is searched for.  Most
 merges meet a lone cut, which is on no side: it is appended to the
 other's array and takes the other's sides in its own bytes, with no call.
-The count of cells is one per cut moved into another component's array.
-A cut moves only when its component at least doubles, so a run over
-``N = n + 1`` cuts counts at most ``(N / 2) * log2(N)`` cells; see
+The count of cells is one per cut moved into another component's array;
+it is tallied once per occurrence's window and corrected only at the edges
+that meet no lone cut, so a lone merge touches no counter.  A cut moves
+only when its component at least doubles, so a run over ``N = n + 1``
+cuts counts at most ``(N / 2) * log2(N)`` cells; see
 ``SyncForest.recompress``.
 """
 
@@ -139,6 +141,11 @@ class SyncForest:
         component is on and appends itself to that side's log.
 
         Returns the number of cells: one per cut moved into another array.
+        They are tallied per window, not per edge: each later occurrence
+        adds its window's length up front, one cell per edge as if every
+        edge moved a lone end, and only the other edges correct it, by -1
+        where the two ends already share an array and by ``len(v) - 1``
+        where two arrays merge, so a lone end's edge touches no counter.
         A recompress does work in proportion to its cells, plus one check
         per edge.  A cut moves only when its component at least doubles, so
         the cells of a whole run over ``N = n + 1`` cuts are at most
@@ -154,12 +161,16 @@ class SyncForest:
         cells = 0
         for occ, lo, hi in pending:
             first = occ[0]
+            window = range(first + lo, first + hi)
             for k in islice(occ, 1, None):
                 shift = k - first
                 if not shift:
                     # a repeated occurrence ties each cut to itself
                     continue
-                for c in range(first + lo, first + hi):
+                # one cell per edge, as a lone end moves; the other
+                # branches correct it
+                cells += len(window)
+                for c in window:
                     d = c + shift
                     u, v = comp[c], comp[d]
                     if v is not None:
@@ -168,6 +179,7 @@ class SyncForest:
                             # the second end of a tie does
                             c, d, u = d, c, v
                         elif u is v:
+                            cells -= 1
                             continue
                         else:
                             if len(u) < len(v):
@@ -183,7 +195,7 @@ class SyncForest:
                             u.extend(v)
                             for x in v:
                                 comp[x] = u
-                            cells += len(v)
+                            cells += len(v) - 1
                             continue
                     # the lone d, on no side, takes c's sides in its own
                     # bytes
@@ -198,7 +210,6 @@ class SyncForest:
                     else:
                         u.append(d)
                         comp[d] = u
-                    cells += 1
         # emptied in place, so the stars are freed now, not at return
         pending.clear()
         return cells

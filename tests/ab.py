@@ -2,18 +2,21 @@
 
 Usage::
 
-    python tests/ab.py --a OTHER/src --b src --workload W --seed N --passes K [--smoke]
+    python tests/ab.py --a OTHER/src --b src --workload W --seeds 2027-2030 --passes K [--smoke]
 
 copies the ``morphprim`` package of each tree, without ``__pycache__``, into
 one temporary directory as ``morphprim_a`` and ``morphprim_b``, so both
 compile from source, and imports both.  A pass times
 ``run(intern_word(text))`` over every input of ``benchmark/workloads.py``'s
-workload ``W`` for seed ``N`` (``--smoke`` takes its small sizes); the file
-is only imported.  Each of the ``K`` passes times both sides, one after the
-other, and which side goes first alternates from pass to pass, so drift in
-the machine's speed falls on both alike.  For each side the script prints
-the fastest pass, the quartiles and the median, then how many passes B was
-faster in, and the ratio of the medians.
+workload ``W`` for one seed (``--smoke`` takes its small sizes); the file
+is only imported.  ``--seeds`` takes seeds and ranges separated by commas,
+such as ``1,5`` or ``2027-2030``, as ``tests/pairs.py`` does.  For each
+seed, each of the ``K`` passes times both sides, one after the other, and
+which side goes first alternates from pass to pass, so drift in the
+machine's speed falls on both alike.  For each seed and side the script
+prints the fastest pass, the quartiles and the median, then how many passes
+B was faster in, and the ratio of the medians; after the last seed, the
+median of those ratios over the seeds and how many seeds B was faster in.
 
 It exits 1 if any word's verdict, morphism, left, right or factor cuts, or
 counters differ between the two trees, so ``--a src --b src`` checks that
@@ -34,6 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+
+from pairs import seed_list
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("a", "b")
@@ -81,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--a", required=True, type=Path, help="directory holding side A's morphprim")
     parser.add_argument("--b", required=True, type=Path, help="directory holding side B's morphprim")
     parser.add_argument("--workload", required=True, help="a workload of benchmark/workloads.py")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seeds", type=seed_list, default=[1], help="e.g. 2027-2030 or 1,5")
     parser.add_argument("--passes", type=int, default=20)
     parser.add_argument("--smoke", action="store_true", help="the workloads' small sizes")
     args = parser.parse_args(argv)
@@ -99,34 +104,41 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in workloads.GENERATORS:
         parser.error(f"--workload must be one of {', '.join(sorted(workloads.GENERATORS))}")
     sizes = workloads.SMOKE if args.smoke else workloads.FULL
-    inputs = workloads.GENERATORS[args.workload](args.seed, sizes)
 
     srcs = dict(zip(SIDES, (args.a, args.b)))
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    ratios = []
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         mps = {side: load(src.resolve(), Path(tmp), side) for side, src in srcs.items()}
-        for i in range(args.passes):
-            outcomes = {}
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                seconds, results = timed_pass(mps[side], inputs.texts)
-                times[side].append(seconds)
-                if i == 0:
-                    outcomes[side] = [outcome(r) for r in results]
-                del results
-            if outcomes and outcomes["a"] != outcomes["b"]:
-                differ = [k for k, (x, y) in enumerate(zip(*outcomes.values())) if x != y]
-                print(f"results differ on {len(differ)} of {len(inputs.texts)} word(s), "
-                      f"the first being word {differ[0]}", file=sys.stderr)
-                return 1
+        for seed in args.seeds:
+            inputs = workloads.GENERATORS[args.workload](seed, sizes)
+            times: dict[str, list[float]] = {side: [] for side in SIDES}
+            for i in range(args.passes):
+                outcomes = {}
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    seconds, results = timed_pass(mps[side], inputs.texts)
+                    times[side].append(seconds)
+                    if i == 0:
+                        outcomes[side] = [outcome(r) for r in results]
+                    del results
+                if outcomes and outcomes["a"] != outcomes["b"]:
+                    differ = [k for k, (x, y) in enumerate(zip(*outcomes.values())) if x != y]
+                    print(f"seed {seed}: results differ on {len(differ)} of "
+                          f"{len(inputs.texts)} word(s), the first being word {differ[0]}",
+                          file=sys.stderr)
+                    return 1
 
-    print(f"{args.workload} seed {args.seed}: {inputs.letters} letters in "
-          f"{len(inputs.texts)} word(s) per pass, {args.passes} passes per side")
-    for side, src in srcs.items():
-        print(f"{side.upper()} {src}: {summary(times[side])}")
-    won = sum(b < a for a, b in zip(times["a"], times["b"]))
-    ratio = statistics.median(times["b"]) / statistics.median(times["a"])
-    print(f"B faster in {won} of {args.passes} passes; median B/A {ratio:.4f}")
+            print(f"{args.workload} seed {seed}: {inputs.letters} letters in "
+                  f"{len(inputs.texts)} word(s) per pass, {args.passes} passes per side")
+            for side, src in srcs.items():
+                print(f"{side.upper()} {src}: {summary(times[side])}")
+            won = sum(b < a for a, b in zip(times["a"], times["b"]))
+            ratios.append(statistics.median(times["b"]) / statistics.median(times["a"]))
+            print(f"B faster in {won} of {args.passes} passes; median B/A {ratios[-1]:.4f}")
+
+    print(f"{args.workload}: median B/A over {len(ratios)} seed(s) "
+          f"{statistics.median(ratios):.4f}; B faster in {sum(r < 1 for r in ratios)} "
+          f"of {len(ratios)} seed(s)")
     return 0
 
 

@@ -188,6 +188,22 @@ def test_recompress_no_pending_is_noop():
     assert (list(f.comp), f.flagged_cuts("L"), f.flagged_cuts("R")) == before
 
 
+def test_recompress_empty_window_and_repeated_occurrence_count_nothing():
+    # stars add_star refuses, buffered by hand: a later occurrence of an
+    # empty window (hi <= lo) ties no cut, nor does a repeated occurrence,
+    # so neither counts a cell, negative ones included
+    f = SyncForest(6)
+    f.add_star((1, 2), 0, 1)
+    f.recompress()
+    f.set_flag(4, "R")
+    before = (list(f.comp), side_bytes(f), logs(f))
+    f.pending.extend([((2, 2, 5), 1, 0), ((3, 3), -1, 2), ((0, 4), 1, 1)])
+    assert f.recompress() == 0
+    assert f.pending == []
+    assert all(x is y for x, y in zip(f.comp, before[0]))
+    assert (side_bytes(f), logs(f)) == before[1:]
+
+
 def test_recompress_abaaba_round_one():
     # flags: extremal cuts both sides; occurrences of b at 2 and 5 with
     # neighborhood a_a contribute 1,4,3,6 to L and 2,5,0,3 to R
@@ -339,7 +355,9 @@ def test_incremental_lists_match_brute_force(n, steps):
     # through by searching the side's bytes in place, as the engine does;
     # the join log must hold each flagged cut exactly once; the components
     # must be those of a naive closure over the stars' edges, each with one
-    # member array that every member's entry holds
+    # member array that every member's entry holds; a recompress must count
+    # one cell per cut of the smaller component at every edge that joins
+    # two, a lone cut counting 1, with the edges taken in star order
     f = SyncForest(n)
     label = list(range(n + 1))  # naive closure: each cut's smallest partner
 
@@ -350,6 +368,7 @@ def test_incremental_lists_match_brute_force(n, steps):
         if step[0] == "flag":
             f.set_flag(min(step[1], n), step[2])
         elif step[0] == "merge":
+            cells = 0
             for occ, lo, hi in step[1]:
                 occ = tuple(min(k, n) for k in occ)
                 edges = [(occ[0] + m, k + m) for k in occ[1:] for m in range(lo, hi)]
@@ -361,9 +380,11 @@ def test_incremental_lists_match_brute_force(n, steps):
                     continue
                 assert f.add_star(occ, lo, hi) == len(edges)
                 for u, v in edges:
+                    if label[u] != label[v]:
+                        cells += min(label.count(label[u]), label.count(label[v]))
                     new, old = sorted((label[u], label[v]))
                     label = [new if x == old else x for x in label]
-            f.recompress()
+            assert f.recompress() == cells
         else:
             read(step[1])
         assert components(f) == grouped(label)
