@@ -396,7 +396,7 @@ def expand_letter(state: EngineState, a: int) -> None:
     log_l, log_r = forest.log["L"], forest.log["R"]
     old_l, old_r = len(log_l), len(log_r)
 
-    # the star of forest.add_star, buffered here, as the check above covers
+    # the star, buffered as recompress reads it: the check above covers
     # every cut it ties; a single occurrence ties none
     edges = (len(occ) - 1) * (left + right + 2)
     if edges:
@@ -571,7 +571,8 @@ def verify(word: Word, f: Morphism) -> bool:
     """
     if (k := len(f.images)) < word.alphabet_size:
         raise ValueError(f"morphism has images for {k} of {word.alphabet_size} letters")
-    if f.apply(word.letters) != word.letters:
+    # apply gives a tuple, and the letters are bytes or an array
+    if f.apply(word.letters) != tuple(word.letters):
         return False
     return all(
         f.apply(f.images[a]) == f.images[a] for a in range(word.alphabet_size)

@@ -72,7 +72,9 @@ class SyncForest:
         # 0 and n start with one member each (one array when n = 0)
         self.comp: list[array | None] = [None] * (n + 1)
         self.comp[0], self.comp[n] = ends[:1], ends[-1:]
-        # buffered stars: (occurrences, lo, hi), see add_star
+        # buffered stars (occurrences, lo, hi): each ties the cut k + m of
+        # every later occurrence k to occ[0] + m, for m in range(lo, hi);
+        # whoever appends one checks that its cuts lie in 0 .. n
         self.pending: list[tuple[Sequence[int], int, int]] = []
 
     def _join(self, members: Iterable[int], flags: bytearray, log: array) -> None:
@@ -100,26 +102,6 @@ class SyncForest:
                 self.comp[c] = log[-1:]
             else:
                 self._join(members, flags, log)
-
-    def add_star(self, occ: Sequence[int], lo: int, hi: int) -> int:
-        """Buffer the edges ``(occ[0] + m, k + m)`` for every later ``k`` in
-        ``occ`` and every ``m`` in ``range(lo, hi)``; components change only
-        at the next recompress.
-
-        Returns the number of edges buffered.  A cut out of range raises
-        ``ValueError`` and buffers nothing.  The engine does not call it:
-        ``expand_letter`` checks that its star's cuts, around the first
-        and the last occurrence, lie in the word, which covers every star
-        it builds, and appends the star to ``pending`` itself.
-        """
-        if len(occ) < 2 or hi <= lo:
-            return 0
-        low, high = min(occ) + lo, max(occ) + hi - 1
-        if low < 0 or high > self.n:
-            cut = low if low < 0 else high
-            raise ValueError(f"cut {cut} out of range 0..{self.n}")
-        self.pending.append((occ, lo, hi))
-        return (len(occ) - 1) * (hi - lo)
 
     def recompress(self) -> int:
         """Merge the buffered stars in place, one edge at a time.

@@ -3,13 +3,15 @@
 Conventions used throughout the package: letters are dense 0-based ids,
 positions in a word are 1-based (``w[1] .. w[n]``), and cuts are 0-based
 borders between letters (cut ``k`` follows the prefix of length ``k``, so a
-word of length ``n`` has cuts ``0 .. n``).
+word of length ``n`` has cuts ``0 .. n``).  A word keeps one byte per
+letter (``bytes``) over at most 256 letters, and four (``array("I")``, ids
+below ``2**32``) over more.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Word:
@@ -20,6 +22,14 @@ class Word:
     ``alphabet_size`` occurs in ``letters``, i.e. the alphabet is exactly
     the set of letters occurring in the word.
 
+    ``letters`` is ``bytes``, one byte per letter, when the alphabet has at
+    most 256 letters, and an ``array("I")``, four bytes per letter, beyond
+    that, so ids stay below ``2**32``.  The constructor picks the type from
+    ``len(symbols)`` alone and copies any iterable of ids into it, so two
+    words over alphabets of one size hold the same type.  Both index,
+    slice and iterate as ints; neither is a tuple, so ``segment`` returns
+    one, and a caller that compares ``letters`` with a tuple converts it.
+
     The fields are read-only by convention: nothing stops an assignment,
     but equality and the hash read them, and engine states keep the word.
     A word is not a tuple, so ``len`` and iteration are not defined on it,
@@ -28,8 +38,8 @@ class Word:
 
     __slots__ = ("letters", "symbols")
 
-    def __init__(self, letters: tuple[int, ...], symbols: tuple[str, ...]):
-        self.letters = letters
+    def __init__(self, letters: Iterable[int], symbols: tuple[str, ...]):
+        self.letters = bytes(letters) if len(symbols) <= 256 else array("I", letters)
         self.symbols = symbols
 
     def __eq__(self, other: object) -> bool:
@@ -38,10 +48,12 @@ class Word:
         return self.letters == other.letters and self.symbols == other.symbols
 
     def __hash__(self) -> int:
-        return hash((self.letters, self.symbols))
+        # an array is unhashable; two of one typecode are equal exactly when
+        # their bytes are
+        return hash((bytes(self.letters), self.symbols))
 
     def __repr__(self) -> str:
-        return f"Word(letters={self.letters!r}, symbols={self.symbols!r})"
+        return f"Word(letters={tuple(self.letters)!r}, symbols={self.symbols!r})"
 
     @property
     def n(self) -> int:
@@ -52,8 +64,9 @@ class Word:
         return len(self.symbols)
 
     def segment(self, i: int, j: int) -> tuple[int, ...]:
-        """Letter ids at positions ``i .. j`` inclusive (empty if ``i > j``)."""
-        return self.letters[i - 1 : j]
+        """Letter ids at positions ``i .. j`` inclusive (empty if ``i > j``),
+        as a tuple."""
+        return tuple(self.letters[i - 1 : j])
 
     def render(self, letters: Iterable[int] | None = None, sep: str | None = None) -> str:
         """Surface form of ``letters`` (the whole word by default), their
@@ -73,7 +86,8 @@ def intern_word(symbols: Iterable[str]) -> Word:
     """Intern a sequence of surface symbols into a :class:`Word`.
 
     Letter ids are assigned in order of first appearance, so the result
-    round-trips to the original symbols via ``symbols``.
+    round-trips to the original symbols via ``symbols``.  The ids are
+    gathered in a list, which ``Word`` copies into its letter type.
     """
     ids: dict[str, int] = {}
     letters = []
@@ -81,7 +95,7 @@ def intern_word(symbols: Iterable[str]) -> Word:
         if s not in ids:
             ids[s] = len(ids)
         letters.append(ids[s])
-    return Word(letters=tuple(letters), symbols=tuple(ids))
+    return Word(letters, tuple(ids))
 
 
 def surface_symbol(i: int) -> str:
@@ -97,7 +111,7 @@ class Morphism(NamedTuple):
     expanding: frozenset[int]
     images: tuple[tuple[int, ...], ...]
 
-    def apply(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+    def apply(self, letters: Iterable[int]) -> tuple[int, ...]:
         out: list[int] = []
         for a in letters:
             out.extend(self.images[a])
@@ -190,7 +204,7 @@ def neighborhood(w: Word, idx: PosIndex, a: int) -> Neighborhood:
 
 
 def _first_mismatch(
-    letters: tuple[int, ...], first: int, rest: list[int], offsets: range
+    letters: Sequence[int], first: int, rest: list[int], offsets: range
 ) -> tuple[int | None, int]:
     """The first offset ``d`` at which some occurrence in ``rest`` reads
     another letter than ``first`` does (``letters[p + d]``), and the number

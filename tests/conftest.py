@@ -96,6 +96,25 @@ def image_by_walk(state, k):
     return state.word.segment(k - i, k + best_j)
 
 
+def add_star(forest, occ, lo: int, hi: int) -> int:
+    """Buffer in ``forest.pending`` the edges ``(occ[0] + m, k + m)`` for
+    every later ``k`` in ``occ`` and every ``m`` in ``range(lo, hi)``, as
+    ``expand_letter`` buffers its star; components change only at the next
+    recompress.
+
+    Returns the number of edges buffered.  A cut out of range raises
+    ``ValueError`` and buffers nothing.
+    """
+    if len(occ) < 2 or hi <= lo:
+        return 0
+    low, high = min(occ) + lo, max(occ) + hi - 1
+    if low < 0 or high > forest.n:
+        cut = low if low < 0 else high
+        raise ValueError(f"cut {cut} out of range 0..{forest.n}")
+    forest.pending.append((occ, lo, hi))
+    return (len(occ) - 1) * (hi - lo)
+
+
 def same_component(forest, c: int, d: int) -> bool:
     """Whether the cuts ``c`` and ``d`` share a component: one cut, or one
     member array."""

@@ -103,7 +103,8 @@ def outputs_and_work(mp, w) -> tuple[tuple, tuple]:
     r = mp.run(w)
     c = r.counters
     outputs = (
-        w.letters,
+        # by value, so the hash does not depend on the letters' type
+        tuple(w.letters),
         r.primitive,
         tuple(sorted(r.expanding)),
         r.morphism.images,

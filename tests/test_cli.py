@@ -137,6 +137,13 @@ class TestCheck(ReadsWords):
         return [f"{word}\t{'primitive' if word in self.PRIMITIVE else 'imprimitive'}"
                 for word in words]
 
+    def test_tokens_past_256_letters(self):
+        # 300 letters, held as a 4-byte array, not as bytes
+        word = " ".join(f"t{i}" for i in range(300))
+        res = invoke("check", "--tokens", f"{word} {word}")
+        assert res.exit_code == 0
+        assert res.output == f"{word} {word}\timprimitive\n"
+
 
 class TestBench(ReadsWords):
     command = ("bench",)

@@ -43,7 +43,7 @@ from conftest import (
     planted,
 )
 from digest import planted_word
-from peak import peak_alloc
+from peak import interned_peak_alloc, peak_alloc, source
 
 
 def letter_id(w, symbol):
@@ -796,19 +796,30 @@ def test_rounds_hold_no_copies_of_the_cut_lists():
 
 
 @pytest.mark.parametrize("w, gate", [
-    # 35.9 B/letter, where a readout beside the state read 42.9
+    # 36.0 B/letter, where a readout beside the state read 42.9
     pytest.param(intern_word("abccc" * 4000), 42, id="abccc"),
     # the planted word of tests/peak.py: 32.2, against 39.5
     pytest.param(planted_word(morphprim, random.Random(1), 12, 3, 3000), 37, id="planted"),
     # wn keeps nine 32-bit counts per round and a frozenset sized like its
-    # set: 120.5 (123.1 on Python 3.10), where 64-bit counts and a frozenset
-    # copied from the set read 170.0 and a record object per round 253.5
+    # set: 131.7 (134.4 on Python 3.10), where 64-bit counts and a frozenset
+    # copied from the set read 170.0 and a record object per round 253.5;
+    # its 1 024 letters are an array, which holds no int object, so the
+    # 767 ids past 256 in the expanding set are the run's own 21 KB, which
+    # a tuple of letters held before the run (120.5)
     pytest.param(palindrome_pair_word(1024), 135, id="wn"),
 ])
 def test_readout_runs_without_the_engine_state(w, gate):
     # run() frees its state, the union-find included, before it builds the
     # result's tuples, which then come on top of the join logs alone
     assert peak_alloc(w) <= gate * w.n
+
+
+def test_interned_run_keeps_one_byte_per_letter():
+    # run(intern_word(text)) on the planted word of tests/peak.py, counted
+    # as the benchmark counts a pass: 33.3 B/letter with the letters as
+    # bytes, where a tuple of them read 40.3
+    w = planted_word(morphprim, random.Random(1), 12, 3, 3000)
+    assert interned_peak_alloc(source(w)) <= 36 * w.n
 
 
 def test_expanding_frozenset_is_no_larger_than_its_set():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from morphprim.forest import SyncForest
 
-from conftest import assert_sides
+from conftest import add_star, assert_sides
 
 
 def grouped(keys):
@@ -80,7 +80,7 @@ def test_find_fresh():
 
 def test_find_transitive_closure():
     f = SyncForest(6)
-    f.add_star((0, 3, 6), 0, 1)
+    add_star(f, (0, 3, 6), 0, 1)
     f.recompress()
     assert components(f) == [[0, 3, 6], [1], [2], [4], [5]]
     assert f.comp[5] is None and sorted(members(f, 6)) == [0, 3, 6]
@@ -96,7 +96,7 @@ def test_set_flag_basic():
 def test_set_flag_spreads_over_component():
     # components of abaaba after synchronizing letter b: {0,3,6},{1,4},{2,5}
     f = SyncForest(6)
-    f.add_star((0, 3), 0, 4)  # (0, 3), (1, 4), (2, 5), (3, 6)
+    add_star(f, (0, 3), 0, 4)  # (0, 3), (1, 4), (2, 5), (3, 6)
     f.recompress()
     f.set_flag(3, "L")
     assert f.flags["L"][6]
@@ -150,7 +150,7 @@ def test_out_of_range_is_rejected(call, message):
 
 def test_add_star_buffered_until_recompress():
     f = SyncForest(6)
-    assert f.add_star((0, 3), 0, 1) == 1
+    assert add_star(f, (0, 3), 0, 1) == 1
     assert f.comp[3] is None
     f.recompress()
     assert f.comp[3] is f.comp[0] is not None
@@ -164,7 +164,7 @@ def test_add_star_buffered_until_recompress():
 def test_add_star_out_of_range(star, cut):
     f = SyncForest(4)
     with pytest.raises(ValueError, match=rf"^cut {cut} out of range 0\.\.4$"):
-        f.add_star(*star)
+        add_star(f, *star)
     assert f.pending == []
 
 
@@ -175,7 +175,7 @@ def test_add_star_out_of_range(star, cut):
 def test_add_star_without_edges_buffers_nothing(star):
     # one occurrence, or no offset: no edge to buffer
     f = SyncForest(4)
-    assert f.add_star(*star) == 0
+    assert add_star(f, *star) == 0
     assert f.pending == []
     assert f.recompress() == 0
 
@@ -193,7 +193,7 @@ def test_recompress_empty_window_and_repeated_occurrence_count_nothing():
     # empty window (hi <= lo) ties no cut, nor does a repeated occurrence,
     # so neither counts a cell, negative ones included
     f = SyncForest(6)
-    f.add_star((1, 2), 0, 1)
+    add_star(f, (1, 2), 0, 1)
     f.recompress()
     f.set_flag(4, "R")
     before = (list(f.comp), side_bytes(f), logs(f))
@@ -216,7 +216,7 @@ def test_recompress_abaaba_round_one():
     for c in (2, 5, 0, 3):
         f.set_flag(c, "R")
     # b at 2 and 5, neighborhood a_a: offsets -2 .. 1 around each
-    assert f.add_star((2, 5), -2, 2) == 4  # (0, 3), (1, 4), (2, 5), (3, 6)
+    assert add_star(f, (2, 5), -2, 2) == 4  # (0, 3), (1, 4), (2, 5), (3, 6)
     f.recompress()
     assert components(f) == [[0, 3, 6], [1, 4], [2, 5]]
     assert f.flagged_cuts("L") == [0, 1, 3, 4, 6]
@@ -226,11 +226,11 @@ def test_recompress_abaaba_round_one():
 def test_recompress_merges_components_and_ors_flags():
     # abba: round 1 links (0,3),(1,4); round 2 links (1,2),(2,3) collapse all
     f = SyncForest(4)
-    f.add_star((0, 3), 0, 2)
+    add_star(f, (0, 3), 0, 2)
     f.recompress()
     f.set_flag(0, "L")
     f.set_flag(1, "R")
-    f.add_star((1, 2, 3), 0, 1)  # (1, 2), (1, 3)
+    add_star(f, (1, 2, 3), 0, 1)  # (1, 2), (1, 3)
     f.recompress()
     assert components(f) == [[0, 1, 2, 3, 4]]
     assert f.flagged_cuts("L") == [0, 1, 2, 3, 4]
@@ -241,8 +241,8 @@ def test_recompress_merges_components_and_ors_flags():
 
 def test_height_one_and_flags_on_every_member():
     f = SyncForest(10)
-    f.add_star((0, 5, 9), 0, 1)
-    f.add_star((2, 3, 4), 0, 1)
+    add_star(f, (0, 5, 9), 0, 1)
+    add_star(f, (2, 3, 4), 0, 1)
     f.set_flag(9, "L")
     f.recompress()
     assert components(f) == [[0, 5, 9], [1], [2, 3, 4], [6], [7], [8], [10]]
@@ -256,7 +256,7 @@ def test_height_one_and_flags_on_every_member():
 def test_star_merges_one_component_with_one_root():
     f = SyncForest(8)
     f.set_flag(5, "R")
-    f.add_star((7, 2, 5), 0, 1)  # (7, 2), (7, 5)
+    add_star(f, (7, 2, 5), 0, 1)  # (7, 2), (7, 5)
     f.recompress()
     assert components(f) == [[0], [1], [2, 5, 7], [3], [4], [6], [8]]
     assert f.flagged_cuts("R") == [0, 2, 5, 7, 8]
@@ -274,7 +274,7 @@ def test_balanced_merges_reach_the_run_bound(j):
     for level in range(j):
         width = 1 << level
         for c in range(0, big, 2 * width):
-            f.add_star((c, c + width), 0, 1)
+            add_star(f, (c, c + width), 0, 1)
         cells += f.recompress()
     assert cells == big // 2 * j
     assert components(f) == [list(range(big))]
@@ -284,7 +284,7 @@ def test_balanced_merges_reach_the_run_bound(j):
 def test_flag_set_before_recompress_survives_merge():
     f = SyncForest(4)
     f.set_flag(3, "L")
-    f.add_star((1, 3), 0, 1)
+    add_star(f, (1, 3), 0, 1)
     f.recompress()
     assert f.flags["L"][1]
     assert f.flagged_cuts("L") == [0, 1, 3, 4]
@@ -304,7 +304,7 @@ def test_recompress_long_chain(order):
     f.set_flag(n, "L")
     f.set_flag(n // 2, "R")
     for c in links:
-        f.add_star((c, c + 1), 0, 1)
+        add_star(f, (c, c + 1), 0, 1)
     cells = f.recompress()
     assert cells <= 8 * n + 2
     assert components(f) == [list(range(n + 1))]
@@ -375,10 +375,10 @@ def test_incremental_lists_match_brute_force(n, steps):
                 if not all(0 <= c <= n for e in edges for c in e):
                     pending = list(f.pending)
                     with pytest.raises(ValueError):
-                        f.add_star(occ, lo, hi)
+                        add_star(f, occ, lo, hi)
                     assert f.pending == pending
                     continue
-                assert f.add_star(occ, lo, hi) == len(edges)
+                assert add_star(f, occ, lo, hi) == len(edges)
                 for u, v in edges:
                     if label[u] != label[v]:
                         cells += min(label.count(label[u]), label.count(label[v]))
@@ -433,7 +433,7 @@ def test_flagged_cuts_reports_joined_cuts():
     f = SyncForest(6)
     joined = f.log["L"]
     sides = [f.flagged_cuts("L")]
-    f.add_star((1, 4), 0, 1)
+    add_star(f, (1, 4), 0, 1)
     f.recompress()
     f.set_flag(4, "L")  # 1 and 4 join together
     assert f.flags["L"] == bytearray([1, 1, 0, 0, 1, 0, 1])
@@ -442,7 +442,7 @@ def test_flagged_cuts_reports_joined_cuts():
     f.set_flag(2, "L")
     f.set_flag(4, "L")  # already flagged: joins nothing
     sides.append(f.flagged_cuts("L"))
-    f.add_star((2, 3), 0, 1)  # 3 joins with 2's flag
+    add_star(f, (2, 3), 0, 1)  # 3 joins with 2's flag
     f.recompress()
     sides.append(f.flagged_cuts("L"))
     assert sides == [[0, 6], [0, 1, 4, 6], [0, 1, 2, 4, 6], [0, 1, 2, 3, 4, 6]]
@@ -458,13 +458,13 @@ def test_flagged_cuts_reports_joined_cuts():
 
 def test_add_star_out_of_range_buffers_nothing():
     f = SyncForest(4)
-    f.add_star((0, 1), 0, 1)
+    add_star(f, (0, 1), 0, 1)
     with pytest.raises(ValueError):
-        f.add_star((2, 3), -3, 1)
+        add_star(f, (2, 3), -3, 1)
     with pytest.raises(ValueError):
-        f.add_star((2, 3), 0, 3)
+        add_star(f, (2, 3), 0, 3)
     assert f.pending == [((0, 1), 0, 1)]
-    assert f.add_star((1, 3), 0, 2) == 2  # (1, 3), (2, 4)
+    assert add_star(f, (1, 3), 0, 2) == 2  # (1, 3), (2, 4)
     assert f.recompress() > 0
     assert components(f) == [[0, 1, 3], [2, 4]]
 
@@ -475,8 +475,8 @@ def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
     # member array that carries 5's flag
     f = SyncForest(6)
     f.set_flag(5, "L")
-    f.add_star((3, 5), 0, 1)
-    f.add_star((1, 3), 0, 1)
+    add_star(f, (3, 5), 0, 1)
+    add_star(f, (1, 3), 0, 1)
     f.recompress()
     assert components(f) == [[0], [1, 3, 5], [2], [4], [6]]
     assert f.comp[1] is f.comp[3] is f.comp[5]
@@ -491,20 +491,20 @@ def test_lone_cut_follows_its_root_linked_away_in_the_same_merge():
 
 def test_lone_cuts_join_each_log_once():
     f = SyncForest(8)
-    f.add_star((2, 4), 0, 1)  # unflagged {2, 4}
-    f.add_star((3, 7), 0, 1)  # {3, 7}, to be L only
+    add_star(f, (2, 4), 0, 1)  # unflagged {2, 4}
+    add_star(f, (3, 7), 0, 1)  # {3, 7}, to be L only
     f.recompress()
     f.set_flag(3, "L")
     # the lone cut 0, flagged on both sides from the start, merges with
     # the unflagged {2, 4}; the unflagged lone cut 5 merges with the L-only
     # {3, 7}; the unflagged lone cut 1 then merges with {3, 5, 7} and
     # joins L; the lone cut 8, flagged on both sides, stays alone
-    f.add_star((0, 2), 0, 1)
-    f.add_star((3, 5), 0, 1)
+    add_star(f, (0, 2), 0, 1)
+    add_star(f, (3, 5), 0, 1)
     f.recompress()
     assert sorted(f.log["L"].tolist()) == [0, 2, 3, 4, 5, 7, 8]
     assert sorted(f.log["R"].tolist()) == [0, 2, 4, 8]
-    f.add_star((1, 3), 0, 1)
+    add_star(f, (1, 3), 0, 1)
     f.recompress()
     assert f.log["L"].tolist()[7:] == [1] and len(f.log["R"]) == 4
     for side in "LR":
@@ -563,14 +563,14 @@ def test_lone_cut_takes_the_sides_of_a_component_on_l(star):
     # byte, with no join call, and is appended to the member array of 2
     # and 4; which end of the edge it is does not matter
     f = SyncForest(8)
-    f.add_star((2, 4), 0, 1)
+    add_star(f, (2, 4), 0, 1)
     assert f.recompress() == 1
     f.set_flag(2, "L")
     pair = f.comp[2]
     assert pair.tolist() == [2, 4] and f.comp[4] is pair
     assert logs(f) == {"L": [0, 8, 2, 4], "R": [0, 8]}
     calls = counting_joins(f)
-    f.add_star(star, 0, 1)
+    add_star(f, star, 0, 1)
     assert f.recompress() == 1
     assert calls == []
     assert f.comp[2] is f.comp[4] is f.comp[6] is pair
@@ -586,13 +586,13 @@ def test_lone_cut_on_r_makes_its_component_join_r_in_member_order():
     # general branch, 6 joins L through one join call, and the whole of
     # {1, 3, 5} joins R through another, in its array's order
     f = SyncForest(8)
-    f.add_star((1, 3, 5), 0, 1)
+    add_star(f, (1, 3, 5), 0, 1)
     assert f.recompress() == 2
     f.set_flag(1, "L")
     f.set_flag(6, "R")
     assert members(f, 1) == [1, 3, 5] and members(f, 6) == [6]
     calls = counting_joins(f)
-    f.add_star((3, 6), 0, 1)
+    add_star(f, (3, 6), 0, 1)
     assert f.recompress() == 1
     assert calls == [[6], [1, 3, 5]]
     assert members(f, 6) == [1, 3, 5, 6]
@@ -609,7 +609,7 @@ def test_two_lone_cuts_merge_the_second_into_the_first():
     f.set_flag(5, "L")
     f.set_flag(2, "R")
     calls = counting_joins(f)
-    f.add_star((2, 5), 0, 1)
+    add_star(f, (2, 5), 0, 1)
     assert f.recompress() == 1
     assert calls == [[2], [5]]
     assert f.comp[2] is f.comp[5] and members(f, 2) == [2, 5]
@@ -628,7 +628,7 @@ def test_lone_cut_takes_the_side_of_a_one_member_array(star):
     one = f.comp[3]
     assert one.tolist() == [3] and f.comp[6] is None
     calls = counting_joins(f)
-    f.add_star(star, 0, 1)
+    add_star(f, star, 0, 1)
     assert f.recompress() == 1
     assert calls == []
     assert f.comp[3] is f.comp[6] is one and one.tolist() == [3, 6]
@@ -645,13 +645,13 @@ def test_tie_moves_the_second_ends_component_into_the_first(star, order):
     # end's component moves, 2 cells, into the first end's array, which
     # stays; {1, 2} joins L through one join call whichever of them moves
     f = SyncForest(8)
-    f.add_star((1, 2), 0, 1)
-    f.add_star((5, 6), 0, 1)
+    add_star(f, (1, 2), 0, 1)
+    add_star(f, (5, 6), 0, 1)
     assert f.recompress() == 2
     f.set_flag(5, "L")
     kept = f.comp[star[0]]
     calls = counting_joins(f)
-    f.add_star(star, 0, 1)
+    add_star(f, star, 0, 1)
     assert f.recompress() == 2
     assert calls == [[1, 2]]
     assert all(f.comp[c] is kept for c in (1, 2, 5, 6))

@@ -111,7 +111,7 @@ class TestAllWords:
                 relabel: dict[int, int] = {}
                 canon = tuple(relabel.setdefault(a, len(relabel)) for a in raw)
                 seen.add(canon)
-        stream = [w.letters for w in all_words(max_len, max_m)]
+        stream = [tuple(w.letters) for w in all_words(max_len, max_m)]
         assert len(stream) == len(set(stream)) == len(seen)
         assert set(stream) == seen
 

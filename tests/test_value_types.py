@@ -33,7 +33,7 @@ from morphprim.words import PosIndex, build_index
 class TestWord:
     def test_keyword_construction_and_fields(self):
         w = Word(letters=(0, 1, 0), symbols=("a", "b"))
-        assert w.letters == (0, 1, 0) and w.symbols == ("a", "b")
+        assert tuple(w.letters) == (0, 1, 0) and w.symbols == ("a", "b")
         assert (w.n, w.alphabet_size) == (3, 2)
         assert w == intern_word("aba")
 

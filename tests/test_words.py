@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import tracemalloc
+from array import array
 
 import pytest
 
-from morphprim import intern_word, palindrome_pair_word, random_word
+from morphprim import Word, intern_word, palindrome_pair_word, random_word, run, verify
 from morphprim.words import build_index, neighborhood
 
 from conftest import EXAMPLE_WORD, alpha_naive, at, neighborhood_by_walk
+from peak import traced_peak
 
 
 class TestInternWord:
     def test_first_appearance_ids(self):
         w = intern_word("abaaba")
-        assert w.letters == (0, 1, 0, 0, 1, 0)
+        assert tuple(w.letters) == (0, 1, 0, 0, 1, 0)
         assert w.alphabet_size == 2
         assert w.symbols == ("a", "b")
 
@@ -30,7 +32,7 @@ class TestInternWord:
 
     def test_token_symbols_roundtrip(self):
         w = intern_word(["foo", "bar", "foo"])
-        assert w.letters == (0, 1, 0)
+        assert tuple(w.letters) == (0, 1, 0)
         assert w.render() == "foo bar foo"
 
     def test_render_with_a_given_separator(self):
@@ -40,6 +42,49 @@ class TestInternWord:
         assert w.render((1, 0), " ") == "b foo"
         assert intern_word("abc").render(sep=" ") == "a b c"
         assert w.render(()) == w.render((), " ") == ""
+
+    def test_peak_is_at_most_10_bytes_per_letter(self):
+        # one byte per letter, on top of the list the ids are gathered in:
+        # 9.1, where a tuple of the ids read 16.1
+        text = random_word(24_000, 12, seed=1).render()
+        assert traced_peak(intern_word, text) <= 10 * len(text)
+
+
+@pytest.mark.parametrize("m, kind", [(256, bytes), (257, array)])
+class TestLetterTypes:
+    """Either side of the 256-letter boundary, on the square ``u u`` of a
+    word ``u`` of ``m`` distinct tokens: ``f(t0) = u`` and every other
+    token erased fixes it."""
+
+    @staticmethod
+    def square(m: int) -> Word:
+        return intern_word([f"t{i}" for i in range(m)] * 2)
+
+    def test_type_follows_the_alphabet_size(self, m, kind):
+        w = self.square(m)
+        assert type(w.letters) is kind
+        assert type(Word(letters=tuple(w.letters), symbols=w.symbols).letters) is kind
+        assert tuple(w.letters) == tuple(range(m)) * 2
+
+    def test_equality_hash_and_repr(self, m, kind):
+        w = self.square(m)
+        same = Word(letters=tuple(w.letters), symbols=w.symbols)
+        assert w == same and hash(w) == hash(same)
+        assert eval(repr(w)) == w
+        assert w != self.square(m - 1)
+
+    def test_run_matches_a_word_built_from_a_tuple(self, m, kind):
+        w = self.square(m)
+        result = run(w)
+        assert result == run(Word(letters=tuple(w.letters), symbols=w.symbols))
+        assert not result.primitive and result.expanding == {0}
+        assert result.morphism.images[0] == tuple(range(m))
+        assert verify(w, result.morphism)
+
+    def test_segment_is_a_tuple(self, m, kind):
+        w = self.square(m)
+        assert w.segment(m - 1, m + 2) == (m - 2, m - 1, 0, 1)
+        assert w.segment(3, 2) == ()
 
 
 class TestBuildIndex:
